@@ -130,8 +130,14 @@ class CycloNum:
     def __truediv__(self, other):
         return self * self._check(other).inverse()
 
+    def __rtruediv__(self, other):
+        return self._check(other) * self.inverse()
+
     def is_zero(self):
         return all(c == 0 for c in self.coeffs)
+
+    def __bool__(self):
+        return not self.is_zero()
 
     def is_one(self):
         return self.coeffs[0] == 1 and all(c == 0 for c in self.coeffs[1:])

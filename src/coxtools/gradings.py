@@ -197,14 +197,6 @@ def degree_of(p, ring):
     return deg
 
 
-def is_homogeneous(p, ring):
-    try:
-        degree_of(p, ring)
-        return True
-    except NotHomogeneousError:
-        return False
-
-
 class GradedEndo:
     """Endomorphism of a graded polynomial ring by homogeneous images."""
 
@@ -354,20 +346,9 @@ def elementary_shear(ring, index, f):
     ``f`` must not involve the sheared variable and must be homogeneous
     of that variable's degree (the zero polynomial is allowed).
     """
-    n = ring.num_vars
-    if not 0 <= index < n:
-        raise ValueError("shear index out of range")
-    if f.num_vars != n:
-        raise ValueError("shear polynomial variable count mismatch")
-    if f.involves(index):
+    if 0 <= index < f.num_vars and f.involves(index):
         raise DependsOnTargetError(f"shear polynomial may not involve variable {index}")
-    d = degree_of(f, ring)
-    if d is not ZERO_DEGREE and d != ring.var_degrees[index]:
-        raise NotHomogeneousShearError(
-            "shear polynomial degree differs from the sheared variable's degree")
-    images = [Poly.variable(n, i) for i in range(n)]
-    images[index] = images[index] + f
-    return GradedEndo(ring, PolyMap(tuple(images)), elementary=("shear", index, f))
+    return shear_map(ring, index, f)
 
 
 def shear_map(ring, index, f):
@@ -398,34 +379,13 @@ def elementary_linear(ring, matrix):
     rows = tuple(tuple(Fraction(x) for x in row) for row in matrix)
     if len(rows) != n or any(len(r) != n for r in rows):
         raise ValueError("linear matrix must be square of the ring size")
-    det = _frac_det(rows)
-    if det == 0:
+    if la.rank(rows) < n:
         raise SingularLinearError("linear part is singular")
     images = tuple(
         Poly(n, {tuple(1 if j == k else 0 for k in range(n)): rows[i][j]
                  for j in range(n) if rows[i][j] != 0})
         for i in range(n))
     return GradedEndo(ring, PolyMap(images), elementary=("linear", rows))
-
-
-def _frac_det(rows):
-    n = len(rows)
-    m = [list(r) for r in rows]
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = 1 / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return det
 
 
 def elementary_inverse(e):
@@ -437,25 +397,7 @@ def elementary_inverse(e):
         _, index, f = e.elementary
         return elementary_shear(e.ring, index, -f)
     _, rows = e.elementary
-    inv = _frac_inverse(rows)
-    return elementary_linear(e.ring, inv)
-
-
-def _frac_inverse(rows):
-    n = len(rows)
-    aug = [list(r) + [Fraction(1 if i == j else 0) for j in range(n)] for i, r in enumerate(rows)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if aug[i][c] != 0), None)
-        if piv is None:
-            raise SingularLinearError("linear part is singular")
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv = 1 / aug[c][c]
-        aug[c] = [x * inv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    return tuple(tuple(row[n:]) for row in aug)
+    return elementary_linear(e.ring, la.inverse_frac(rows))
 
 
 def verify_inverse(e, e_inv):

@@ -25,10 +25,6 @@ def identity(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def zero_matrix(r, c):
-    return tuple((0,) * c for _ in range(r))
-
-
 def transpose(a):
     return tuple(zip(*a)) if a else ()
 
@@ -60,10 +56,6 @@ def vec_sub(u, v):
     return tuple(x - y for x, y in zip(u, v))
 
 
-def vec_neg(u):
-    return tuple(-x for x in u)
-
-
 def vec_scale(u, c):
     return tuple(c * x for x in u)
 
@@ -83,6 +75,17 @@ def primitive(v):
 
 def is_zero_vec(v):
     return all(x == 0 for x in v)
+
+
+def compositions(total, parts):
+    """Nonnegative vectors of length ``parts`` summing to ``total``, lazily,
+    in lexicographically descending order."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total, -1, -1):
+        for rest in compositions(total - first, parts - 1):
+            yield (first,) + rest
 
 
 # ---------------------------------------------------------------------------
@@ -252,34 +255,48 @@ def det_int(a):
 
 
 # ---------------------------------------------------------------------------
-# Rational (Fraction) elimination utilities.
+# Exact elimination over a field.
 # ---------------------------------------------------------------------------
 
-def _frac_rows(a):
-    return [[Fraction(x) for x in row] for row in a]
+def rref(rows, ncols=None):
+    """Reduced row echelon form over an exact field.
 
-
-def rank(a):
-    if not a:
-        return 0
-    rows = _frac_rows(a)
-    n = len(rows[0])
+    ``rows`` is a list of row sequences, reduced in place; entries need only
+    truthiness as the zero test, ``1 / x``, ``*`` and ``-``, so the same
+    loop serves Fraction and CycloNum.  Only the first ``ncols`` columns
+    (default: all) are pivot candidates, which leaves augmented columns
+    as passengers.  Returns ``(rows, pivots)``: the first
+    ``len(pivots)`` rows are the nonzero echelon rows, each with a 1 at
+    its pivot column and zeros above and below it.
+    """
+    if ncols is None:
+        ncols = len(rows[0]) if rows else 0
+    pivots = []
     r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+    for c in range(ncols):
+        if r == len(rows):
+            break
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
         inv = 1 / rows[r][c]
         rows[r] = [x * inv for x in rows[r]]
         for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
+            if i != r and rows[i][c]:
                 f = rows[i][c]
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
         r += 1
-        if r == len(rows):
-            break
-    return r
+    return rows, pivots
+
+
+def _frac_rows(a):
+    return [[Fraction(x) for x in row] for row in a]
+
+
+def rank(a):
+    return len(rref(_frac_rows(a))[1])
 
 
 def solve(a, b):
@@ -291,31 +308,13 @@ def solve(a, b):
     """
     if not a:
         return () if is_zero_vec(tuple(b)) else None
-    m, n = len(a), len(a[0])
-    rows = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(a)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if rows[i][n] != 0:
-            return None
+    n = len(a[0])
+    rows, pivots = rref([row + [Fraction(b[i])] for i, row in enumerate(_frac_rows(a))], n)
+    if any(row[n] for row in rows[len(pivots):]):
+        return None
     x = [Fraction(0)] * n
-    for i, c in enumerate(pivots):
-        x[c] = rows[i][n]
+    for row, c in zip(rows, pivots):
+        x[c] = row[n]
     return tuple(x)
 
 
@@ -323,32 +322,16 @@ def nullspace(a):
     """Basis (tuple of Fraction tuples) of the right kernel of a."""
     if not a:
         return ()
-    m, n = len(a), len(a[0])
-    rows = _frac_rows(a)
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    free = [c for c in range(n) if c not in pivots]
+    n = len(a[0])
+    rows, pivots = rref(_frac_rows(a))
     basis = []
-    for fc in free:
+    for fc in range(n):
+        if fc in pivots:
+            continue
         v = [Fraction(0)] * n
         v[fc] = Fraction(1)
-        for i, c in enumerate(pivots):
-            v[c] = -rows[i][fc]
+        for row, c in zip(rows, pivots):
+            v[c] = -row[fc]
         basis.append(tuple(v))
     return tuple(basis)
 
@@ -356,19 +339,10 @@ def nullspace(a):
 def inverse_frac(a):
     """Exact inverse of a square matrix as Fraction rows."""
     n = len(a)
-    rows = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-            for i, row in enumerate(a)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if rows[i][c] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        rows[c], rows[piv] = rows[piv], rows[c]
-        inv = 1 / rows[c][c]
-        rows[c] = [x * inv for x in rows[c]]
-        for i in range(n):
-            if i != c and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    rows, pivots = rref([row + [Fraction(1 if i == j else 0) for j in range(n)]
+                         for i, row in enumerate(_frac_rows(a))], n)
+    if len(pivots) < n:
+        raise ValueError("singular matrix")
     return tuple(tuple(row[n:]) for row in rows)
 
 

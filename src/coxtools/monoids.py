@@ -267,7 +267,7 @@ def _enumerate_elements(dt, depth, alpha=None):
     gen_sums = [sum(t) for t in tau_images]
     max_degree = depth  # every generator image has coordinate sum >= 1
     for degree in range(1, max_degree + 1):
-        for expo in _compositions(degree, len(gens)):
+        for expo in la.compositions(degree, len(gens)):
             s = sum(e * g for e, g in zip(expo, gen_sums))
             if s > depth:
                 continue
@@ -286,16 +286,6 @@ def _enumerate_elements(dt, depth, alpha=None):
             seen[tau] = el
             order.append(el)
     return order
-
-
-def _compositions(total, parts):
-    """Exponent vectors of the given total degree, lexicographically."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +366,7 @@ def verify_divisor_axioms(dt, depth):
     gen_images = dt.generator_images()
     by_set = {}
     for total in range(0, depth + 1):
-        for d in _compositions(total, r):
+        for d in la.compositions(total, r):
             div = frozenset(e.tau for e in elements
                             if all(x >= y for x, y in zip(e.tau, d)))
             bucket = by_set.setdefault(div, [])

@@ -73,49 +73,6 @@ def c_sub(a, b):
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
-def c_rank(a):
-    rows = [list(r) for r in a]
-    if not rows:
-        return 0
-    n = len(rows[0])
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, len(rows)) if not rows[i][c].is_zero()), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        r += 1
-        if r == len(rows):
-            break
-    return r
-
-
-def c_det(a):
-    n = len(a)
-    rows = [list(r) for r in a]
-    det = CycloNum.rational(a[0][0].conductor, 1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if not rows[i][c].is_zero()), None)
-        if piv is None:
-            return CycloNum(a[0][0].conductor)
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            det = -det
-        det = det * rows[c][c]
-        inv = rows[c][c].inverse()
-        for i in range(c + 1, n):
-            if not rows[i][c].is_zero():
-                f = rows[i][c] * inv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    return det
-
-
 # -- group closure ------------------------------------------------------------
 
 class MatGroup:
@@ -132,7 +89,6 @@ class MatGroup:
         self.generators = generators
         self.elements = elements
         self._index = {m: i for i, m in enumerate(elements)}
-        self._inverse = None
 
     @property
     def order(self):
@@ -143,17 +99,6 @@ class MatGroup:
 
     def index_of(self, m):
         return self._index[m]
-
-    def inverse_of(self, m):
-        if self._inverse is None:
-            self._inverse = {}
-            ident = self.identity()
-            for a in self.elements:
-                for b in self.elements:
-                    if c_mul(a, b) == ident:
-                        self._inverse[a] = b
-                        break
-        return self._inverse[m]
 
 
 def close_group(generators, conductor=None, cap=DEFAULT_CAP):
@@ -168,48 +113,32 @@ def close_group(generators, conductor=None, cap=DEFAULT_CAP):
     for g in gens:
         if len(g) != dim or any(len(row) != dim for row in g):
             raise ValueError("generators must be square of equal size")
-        if c_det(g).is_zero():
+        if len(la.rref(list(g))[1]) < dim:
             raise NotInvertibleError("singular generator")
-    ident = c_identity(conductor, dim)
+    elements = _closure(c_identity(conductor, dim), gens, cap)
+    return MatGroup(dim, conductor, tuple(gens), tuple(elements))
+
+
+def _closure(ident, gens, cap=None):
+    """Breadth-first closure of ``gens`` from ``ident``: each listed
+    element in turn is multiplied on the right by every generator."""
     elements = [ident]
     seen = {ident}
-    queue = [ident]
-    while queue:
-        a = queue.pop(0)
+    for a in elements:
         for g in gens:
             b = c_mul(a, g)
             if b not in seen:
-                if len(elements) >= cap:
+                if cap is not None and len(elements) >= cap:
                     raise ClosureCapExceededError(f"closure exceeded cap {cap}")
                 seen.add(b)
                 elements.append(b)
-                queue.append(b)
-    return MatGroup(dim, conductor, tuple(gens), tuple(elements))
+    return elements
 
 
 def pseudoreflections(group):
     """Elements fixing a hyperplane pointwise: rank(A - I) == 1, exactly."""
     ident = group.identity()
-    return tuple(a for a in group.elements if c_rank(c_sub(a, ident)) == 1)
-
-
-def _subgroup_closure(group, generating):
-    """Elements of the subgroup generated by ``generating`` (as a set of
-    group elements), in deterministic order."""
-    ident = group.identity()
-    elements = [ident]
-    seen = {ident}
-    queue = [ident]
-    gens = [g for g in generating if g != ident]
-    while queue:
-        a = queue.pop(0)
-        for g in gens:
-            b = c_mul(a, g)
-            if b not in seen:
-                seen.add(b)
-                elements.append(b)
-                queue.append(b)
-    return tuple(elements)
+    return tuple(a for a in group.elements if len(la.rref(list(c_sub(a, ident)))[1]) == 1)
 
 
 @dataclass(frozen=True)
@@ -231,20 +160,12 @@ def quotient_report(group):
     abelian invariant factors from a Smith normal form of harvested
     relations.  ``is_toric`` is F's commutativity.
     """
-    refl = pseudoreflections(group)
-    conjugates = []
-    for x in group.elements:
-        xinv = group.inverse_of(x)
-        for p in refl:
-            conjugates.append(c_mul(c_mul(x, p), xinv))
-    h_elements = _subgroup_closure(group, dict.fromkeys(conjugates))
-    h_set = set(h_elements)
-    # verify normality
+    # rank(xAx^-1 - I) == rank(A - I): the pseudoreflections are already
+    # closed under conjugation, so they generate a normal subgroup
+    h_elements = _closure(group.identity(), pseudoreflections(group))
     for x in group.generators:
-        xinv = group.inverse_of(x)
-        for p in h_elements:
-            if c_mul(c_mul(x, p), xinv) not in h_set:
-                raise AssertionError("reflection subgroup failed normality")
+        if {c_mul(x, h) for h in h_elements} != {c_mul(h, x) for h in h_elements}:
+            raise AssertionError("reflection subgroup failed normality")
 
     # cosets of H in G
     coset_of = {}
@@ -340,18 +261,6 @@ def quotient_report(group):
 
 # -- Reynolds averaging --------------------------------------------------------
 
-def monomials_of_degree(num_vars, degree):
-    """Exponent tuples of the given total degree, graded-lex descending."""
-    def rec(remaining, vars_left):
-        if vars_left == 1:
-            yield (remaining,)
-            return
-        for first in range(remaining, -1, -1):
-            for rest in rec(remaining - first, vars_left - 1):
-                yield (first,) + rest
-    return tuple(rec(degree, num_vars))
-
-
 def _apply_matrix_to_monomial(group, a, expo):
     """Image of x^expo under x_j -> sum_i a[j][i] x_i, as an exponent dict."""
     conductor = group.conductor
@@ -382,7 +291,7 @@ def reynolds_invariants(group, degree):
     degree = int(degree)
     if degree < 1:
         raise ValueError("degree must be at least 1")
-    monos = monomials_of_degree(group.dim, degree)
+    monos = tuple(la.compositions(degree, group.dim))
     index = {m: i for i, m in enumerate(monos)}
     conductor = group.conductor
     scale = CycloNum.rational(conductor, 1) / CycloNum.rational(conductor, group.order)
@@ -402,33 +311,15 @@ def reynolds_invariants(group, degree):
                 row[index[mono]] = val
         vectors.append(row)
 
-    # row reduce over the field
-    r = 0
-    for c in range(len(monos)):
-        piv = next((i for i in range(r, len(vectors)) if not vectors[i][c].is_zero()), None)
-        if piv is None:
-            continue
-        vectors[r], vectors[piv] = vectors[piv], vectors[r]
-        inv = vectors[r][c].inverse()
-        vectors[r] = [x * inv for x in vectors[r]]
-        for i in range(len(vectors)):
-            if i != r and not vectors[i][c].is_zero():
-                f = vectors[i][c]
-                vectors[i] = [x - f * y for x, y in zip(vectors[i], vectors[r])]
-        r += 1
-        if r == len(vectors):
-            break
-    basis = []
-    for i in range(r):
-        form = {monos[j]: v for j, v in enumerate(vectors[i]) if not v.is_zero()}
-        basis.append(form)
-    return basis
+    vectors, pivots = la.rref(vectors)
+    return [{monos[j]: v for j, v in enumerate(row) if v}
+            for row in vectors[:len(pivots)]]
 
 
 def symmetric_power_trace_dimension(group, degree):
     """Independent invariant-dimension count: average of the traces of
     the symmetric-power action (exact, over the cyclotomic field)."""
-    monos = monomials_of_degree(group.dim, degree)
+    monos = tuple(la.compositions(degree, group.dim))
     total = CycloNum(group.conductor)
     for a in group.elements:
         tr = CycloNum(group.conductor)

@@ -1,4 +1,11 @@
+import random
+from fractions import Fraction
+
+import pytest
+import sympy
+
 from coxtools import intlinalg as la
+from coxtools.cyclotomic import CycloNum
 
 
 def test_hnf_already_normal():
@@ -58,3 +65,114 @@ def test_inverse_int_unimodular():
     u = ((2, 1), (1, 1))
     inv = la.inverse_int(u)
     assert la.mat_mul(u, inv) == la.identity(2)
+
+
+# -- the elimination kernel against sympy ------------------------------------------
+
+def _random_matrices(seed, count=60):
+    """Seeded small integer matrices: rectangular, singular, with zero rows."""
+    rng = random.Random(seed)
+    out = []
+    for k in range(count):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        a = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
+        if k % 3 == 1 and m > 1:  # a repeated combination of rows: singular
+            a[-1] = [x + 2 * y for x, y in zip(a[0], a[1 % m])]
+        if k % 4 == 2:
+            a[rng.randrange(m)] = [0] * n
+        out.append(a)
+    return out
+
+
+def _frac(x):
+    return Fraction(int(x.p), int(x.q))
+
+
+def _all_fractions(rows):
+    return all(type(x) is Fraction for row in rows for x in row)
+
+
+def test_rank_matches_sympy():
+    for a in _random_matrices(1):
+        assert la.rank(a) == sympy.Matrix(a).rank()
+
+
+def test_nullspace_matches_sympy():
+    for a in _random_matrices(2):
+        null = la.nullspace(a)
+        assert _all_fractions(null)
+        expected = [tuple(_frac(x) for x in v) for v in sympy.Matrix(a).nullspace()]
+        assert list(null) == expected
+
+
+def test_solve_matches_sympy():
+    rng = random.Random(3)
+    for a in _random_matrices(3):
+        b = [rng.randint(-4, 4) for _ in a]
+        x = la.solve(a, b)
+        try:
+            sol, params = sympy.Matrix(a).gauss_jordan_solve(sympy.Matrix(b))
+        except ValueError:  # inconsistent system
+            assert x is None
+            continue
+        assert x is not None and all(type(v) is Fraction for v in x)
+        assert x == tuple(_frac(v) for v in sol.subs({p: 0 for p in params}))
+        assert la.mat_vec(a, x) == tuple(b)
+
+
+def test_inverse_frac_matches_sympy():
+    for a in _random_matrices(4, count=120):
+        if len(a) != len(a[0]):
+            continue
+        m = sympy.Matrix(a)
+        if m.det() == 0:
+            with pytest.raises(ValueError):
+                la.inverse_frac(a)
+            continue
+        inv = la.inverse_frac(a)
+        assert _all_fractions(inv)
+        assert [list(r) for r in inv] == [[_frac(x) for x in m.inv().row(i)]
+                                          for i in range(m.rows)]
+
+
+def test_rref_over_cyclotomic_field_has_known_rank():
+    """L * B * C * U over QQ(zeta_5), where B = [I_r; X] and C = [I_r | Y]
+    have rank r and L, U are unitriangular, so the product has rank r."""
+    rng = random.Random(5)
+    z = CycloNum.zeta(5)
+    one, zero = CycloNum.rational(5, 1), CycloNum(5)
+
+    def rand():
+        return CycloNum(5, [rng.randint(-2, 2) for _ in range(4)])
+
+    def mul(a, b):
+        return [[sum((a[i][t] * b[t][j] for t in range(len(b))), zero)
+                 for j in range(len(b[0]))] for i in range(len(a))]
+
+    for _ in range(8):
+        n = rng.randint(2, 4)
+        r = rng.randint(0, n)
+        b = [[one if i == j else zero for j in range(r)] if i < r else [rand() for _ in range(r)]
+             for i in range(n)]
+        c = [[one if i == j else zero for j in range(r)] + [rand() for _ in range(n - r)]
+             for i in range(r)]
+        low = [[one if i == j else (rand() if j < i else zero) for j in range(n)] for i in range(n)]
+        up = [[one if i == j else (rand() * z if j > i else zero) for j in range(n)]
+              for i in range(n)]
+        a = mul(mul(low, b), mul(c, up)) if r else [[zero] * n for _ in range(n)]
+        rows, pivots = la.rref(a)
+        assert len(pivots) == r
+        for i, p in enumerate(pivots):
+            assert rows[i][p].is_one()
+            assert all(not rows[k][p] for k in range(n) if k != i)
+        assert all(not x for row in rows[r:] for x in row)
+
+
+# -- compositions ----------------------------------------------------------------
+
+def test_compositions_order_and_count():
+    assert list(la.compositions(2, 2)) == [(2, 0), (1, 1), (0, 2)]
+    assert list(la.compositions(3, 1)) == [(3,)]
+    parts = list(la.compositions(4, 3))
+    assert len(parts) == 15 and parts == sorted(parts, reverse=True)
+    assert all(sum(p) == 4 for p in parts)

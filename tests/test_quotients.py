@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from coxtools.cyclotomic import CycloNum, cyclotomic_polynomial, euler_phi
-from coxtools.quotients import (ClosureCapExceededError, NotInvertibleError,
+from coxtools.quotients import (ClosureCapExceededError, NotInvertibleError, c_mul,
                                 close_group, pseudoreflections, quotient_report,
                                 reynolds_invariants,
                                 symmetric_power_trace_dimension)
@@ -39,6 +39,61 @@ def test_cyclotomic_field_ops():
     assert (z * z.inverse()).is_one()
     half = CycloNum.rational(4, Fraction(1, 2))
     assert (half + half).is_one()
+
+
+def test_cyclonum_zero_test_and_reciprocal(monkeypatch):
+    for m in (1, 3, 4, 5, 12):
+        assert not CycloNum(m)
+        assert CycloNum.zeta(m)
+    calls = []
+    inverse = CycloNum.inverse
+
+    def counted(self):
+        calls.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(CycloNum, "inverse", counted)
+    for x in (CycloNum.zeta(5), CycloNum(5, (1, 2, 0, -3)), CycloNum.rational(12, 7)):
+        calls.clear()
+        assert 1 / x == inverse(x)
+        assert len(calls) == 1
+
+
+def _power(z, k):
+    acc = CycloNum.rational(z.conductor, 1)
+    for _ in range(k):
+        acc = acc * z
+    return acc
+
+
+def _gmp(m, p):
+    """The imprimitive reflection group G(m, p, 2)."""
+    z = CycloNum.zeta(m)
+    zero, one = CycloNum(m), CycloNum.rational(m, 1)
+    gens = [[[zero, one], [one, zero]], [[zero, z.inverse()], [z, zero]]]
+    if p < m:
+        gens.append([[_power(z, p), zero], [zero, one]])
+    return close_group(gens, conductor=m)
+
+
+# (m, p) -> (|G|, |H|, |H~|, F abelian, |[F, F]|, N invariants, toric,
+#            number of pseudoreflections)
+GMP_REPORTS = {
+    (1, 1): (2, 2, 2, True, 1, (), True, 1),
+    (2, 1): (8, 8, 8, True, 1, (), True, 4),
+    (2, 2): (4, 4, 4, True, 1, (), True, 2),
+    (3, 1): (18, 18, 18, True, 1, (), True, 7),
+    (3, 3): (6, 6, 6, True, 1, (), True, 3),
+    (4, 1): (32, 32, 32, True, 1, (), True, 10),
+    (4, 2): (16, 16, 16, True, 1, (), True, 6),
+    (4, 4): (8, 8, 8, True, 1, (), True, 4),
+    (5, 1): (50, 50, 50, True, 1, (), True, 13),
+    (5, 5): (10, 10, 10, True, 1, (), True, 5),
+    (6, 1): (72, 72, 72, True, 1, (), True, 16),
+    (6, 2): (36, 36, 36, True, 1, (), True, 10),
+    (6, 3): (24, 24, 24, True, 1, (), True, 8),
+    (6, 6): (12, 12, 12, True, 1, (), True, 6),
+}
 
 
 # -- closure ---------------------------------------------------------------------
@@ -95,6 +150,28 @@ def test_swap_is_pseudoreflection():
     assert len(pseudoreflections(g)) == 1
 
 
+def _test_groups():
+    i, z3, z5 = _i(), CycloNum.zeta(3), CycloNum.zeta(5)
+    groups = [
+        _q8(),
+        close_group([[[z3, 0], [0, z3.inverse()]]], conductor=3),
+        close_group([[[z5 * z5 * z5, 0, 0], [0, z5, 0], [0, 0, z5.inverse()]]], conductor=5),
+        close_group([[[-1, 0], [0, 1]]], conductor=1),
+        close_group([[[0, 1], [1, 0]]], conductor=1),
+        close_group([[[0, -1], [1, 0]], [[0, 1], [1, 0]]], conductor=1),
+        close_group([[[-1, 0], [0, 1]], [[i, 0], [0, i]]], conductor=4),
+    ]
+    return groups + [_gmp(m, p) for m, p in GMP_REPORTS]
+
+
+def test_pseudoreflections_are_closed_under_conjugation():
+    """x R x^-1 == R, checked as x R == R x for every element x."""
+    for g in _test_groups():
+        refl = pseudoreflections(g)
+        for x in g.elements:
+            assert {c_mul(x, p) for p in refl} == {c_mul(p, x) for p in refl}
+
+
 # -- quotient reports ----------------------------------------------------------------
 
 def test_q8_report():
@@ -146,10 +223,17 @@ def test_proper_nontrivial_reflection_subgroup():
     assert rep.n_invariants == (2,)
 
 
+@pytest.mark.parametrize("m,p", sorted(GMP_REPORTS))
+def test_gmp2_reports_are_pinned(m, p):
+    g = _gmp(m, p)
+    rep = quotient_report(g)
+    assert (rep.order_g, rep.order_h, rep.order_h_tilde, rep.f_abelian, rep.commutant_order,
+            rep.n_invariants, rep.is_toric, len(pseudoreflections(g))) == GMP_REPORTS[(m, p)]
+
+
 def test_coset_multiplication_is_associative():
     """Spot check: quotient multiplication through representatives is
     associative (well-definedness of the coset group)."""
-    from coxtools.quotients import c_mul
     g = close_group([[[0, -1], [1, 0]], [[0, 1], [1, 0]]], conductor=1)  # dihedral
     refl = pseudoreflections(g)
     assert refl  # the swap and friends
