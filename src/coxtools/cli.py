@@ -163,18 +163,34 @@ def _decode_cyclo_entry(value, conductor):
     return CycloNum.rational(conductor, _as_fraction(value))
 
 
+def _at_least(value, least, name):
+    if value < least:
+        raise InputError(f"{name} must be at least {least}")
+    return value
+
+
+def _depth(args, doc, default):
+    depth = _as_int(doc.get("depth", default)) if args.depth is None else args.depth
+    return _at_least(depth, 0, "depth")
+
+
+def _cap(args):
+    return _at_least(DEFAULT_CAP if args.cap is None else args.cap, 1, "cap")
+
+
+def _is_square(x, dim):
+    return isinstance(x, list) and len(x) == dim and \
+        all(isinstance(row, list) and len(row) == dim for row in x)
+
+
 def _decode_group(doc):
-    dim = _as_int(_require(doc, "dim"))
-    conductor = _as_int(_require(doc, "conductor"))
-    gens = []
-    for gmat in _require(doc, "generators"):
-        rows = []
-        for row in gmat:
-            rows.append(tuple(_decode_cyclo_entry(e, conductor) for e in row))
-        if len(rows) != dim or any(len(r) != dim for r in rows):
-            raise InputError("group generators must be dim x dim matrices")
-        gens.append(tuple(rows))
-    return conductor, gens
+    dim = _at_least(_as_int(_require(doc, "dim")), 1, "dim")
+    conductor = _at_least(_as_int(_require(doc, "conductor")), 1, "conductor")
+    gmats = _require(doc, "generators")
+    if not isinstance(gmats, list) or not gmats or not all(_is_square(g, dim) for g in gmats):
+        raise InputError("group generators must be a nonempty list of dim x dim matrices")
+    return conductor, [tuple(tuple(_decode_cyclo_entry(e, conductor) for e in row)
+                             for row in gmat) for gmat in gmats]
 
 
 def _grading_doc(ring):
@@ -236,7 +252,7 @@ def cmd_divisor_theory(doc, args):
 
 def cmd_check_axioms(doc, args):
     m = _decode_monoid(_require(doc, "monoid"))
-    depth = args.depth or _as_int(doc.get("depth", 6))
+    depth = _depth(args, doc, 6)
     if doc.get("ambient_functionals"):
         dt = DivisorTheory.from_ambient_functionals(
             m, _int_matrix(doc["ambient_functionals"]))
@@ -254,7 +270,7 @@ def cmd_extend(doc, args):
     m = _decode_monoid(_require(doc, "monoid"))
     dt = divisor_theory(m)
     alpha = MonoidHom(_fraction_matrix(_require(_require(doc, "alpha"), "matrix")))
-    depth = args.depth or _as_int(doc.get("depth", DEFAULT_DEPTH))
+    depth = _depth(args, doc, DEFAULT_DEPTH)
     result = extend_embedding(dt, alpha, depth=depth)
     if isinstance(result, Beta):
         return {"kind": "beta", "matrix": [list(r) for r in result.matrix]}
@@ -362,7 +378,7 @@ def cmd_shear_family(doc, args):
 
 def cmd_quotient_report(doc, args):
     conductor, gens = _decode_group(doc)
-    group = close_group(gens, conductor=conductor, cap=args.cap or DEFAULT_CAP)
+    group = close_group(gens, conductor=conductor, cap=_cap(args))
     rep = quotient_report(group)
     return {
         "order_g": rep.order_g,
@@ -377,7 +393,7 @@ def cmd_quotient_report(doc, args):
 
 def cmd_reynolds(doc, args):
     conductor, gens = _decode_group(_require(doc, "group"))
-    group = close_group(gens, conductor=conductor, cap=args.cap or DEFAULT_CAP)
+    group = close_group(gens, conductor=conductor, cap=_cap(args))
     degree = _as_int(_require(doc, "degree"))
     basis = reynolds_invariants(group, degree)
     names = [f"x{i + 1}" for i in range(group.dim)]

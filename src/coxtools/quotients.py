@@ -4,7 +4,7 @@ The pipeline: close a generating set of matrices to the full group,
 find the pseudoreflections (rank(A - I) = 1), take the normal subgroup
 they generate, and analyze the quotient: its commutator subgroup, the
 preimage of that commutator, and the abelian invariants of the final
-abelianization (via a Smith normal form of harvested relations).  The
+abelianization (via a Smith normal form of its Schreier relations).  The
 quotient space of the original linear action is toric exactly when the
 quotient group by the reflections is abelian.
 
@@ -12,7 +12,7 @@ A Reynolds operator (averaging) computes exact bases of invariant forms
 degree by degree.
 """
 
-import itertools
+import math
 from dataclasses import dataclass
 
 from . import intlinalg as la
@@ -80,14 +80,19 @@ class MatGroup:
 
     Elements are listed in breadth-first discovery order from the
     identity, multiplying by the generators in their given order, so the
-    listing is deterministic.
+    listing is deterministic.  The walk is kept as the right Cayley graph
+    (``right[i][k]`` indexes ``elements[i] @ generators[k]``) with each
+    element's breadth-first generator word, so products of elements are
+    integer walks (the regular representation).
     """
 
-    def __init__(self, dim, conductor, generators, elements):
+    def __init__(self, dim, conductor, generators, elements, right, words):
         self.dim = dim
         self.conductor = conductor
         self.generators = generators
         self.elements = elements
+        self.right = right
+        self.words = words
         self._index = {m: i for i, m in enumerate(elements)}
 
     @property
@@ -100,14 +105,25 @@ class MatGroup:
     def index_of(self, m):
         return self._index[m]
 
+    def mul(self, i, j):
+        """Index of ``elements[i] @ elements[j]``: j's word walked from i."""
+        for k in self.words[j]:
+            i = self.right[i][k]
+        return i
+
 
 def close_group(generators, conductor=None, cap=DEFAULT_CAP):
-    """Breadth-first closure of matrix generators into a finite group."""
+    """Breadth-first closure of matrix generators into a finite group.
+
+    Without ``conductor``, the field is that of the first ``CycloNum``
+    entry of any generator, else the rationals (conductor 1).
+    """
     gens = list(generators)
     if not gens:
         raise ValueError("at least one generator required")
     if conductor is None:
-        conductor = gens[0][0][0].conductor
+        conductor = next((x.conductor for g in gens for row in g for x in row
+                          if isinstance(x, CycloNum)), 1)
     gens = [cmat(conductor, g) for g in gens]
     dim = len(gens[0])
     for g in gens:
@@ -115,24 +131,31 @@ def close_group(generators, conductor=None, cap=DEFAULT_CAP):
             raise ValueError("generators must be square of equal size")
         if len(la.rref(list(g))[1]) < dim:
             raise NotInvertibleError("singular generator")
-    elements = _closure(c_identity(conductor, dim), gens, cap)
-    return MatGroup(dim, conductor, tuple(gens), tuple(elements))
+    elements, right, words = _closure(c_identity(conductor, dim), gens, c_mul, cap)
+    return MatGroup(dim, conductor, tuple(gens), tuple(elements), tuple(right), tuple(words))
 
 
-def _closure(ident, gens, cap=None):
-    """Breadth-first closure of ``gens`` from ``ident``: each listed
-    element in turn is multiplied on the right by every generator."""
-    elements = [ident]
-    seen = {ident}
-    for a in elements:
-        for g in gens:
-            b = c_mul(a, g)
-            if b not in seen:
+def _closure(ident, gens, mul, cap=None):
+    """Breadth-first closure of ``gens`` from ``ident`` under ``mul``: each
+    listed element in turn is multiplied on the right by every generator.
+    Returns the elements, the Cayley graph (``right[i][k]`` is the index
+    of ``mul(elements[i], gens[k])``) and each element's generator word."""
+    elements, words, right = [ident], [()], []
+    index = {ident: 0}
+    for i, a in enumerate(elements):
+        row = []
+        for k, g in enumerate(gens):
+            b = mul(a, g)
+            j = index.get(b)
+            if j is None:
                 if cap is not None and len(elements) >= cap:
                     raise ClosureCapExceededError(f"closure exceeded cap {cap}")
-                seen.add(b)
+                j = index[b] = len(elements)
                 elements.append(b)
-    return elements
+                words.append(words[i] + (k,))
+            row.append(j)
+        right.append(tuple(row))
+    return elements, right, words
 
 
 def pseudoreflections(group):
@@ -157,105 +180,58 @@ def quotient_report(group):
 
     H: normal subgroup generated by the pseudoreflections; F = G/H;
     the commutant [F, F]; H-tilde: its preimage in G; N = F/[F, F] with
-    abelian invariant factors from a Smith normal form of harvested
-    relations.  ``is_toric`` is F's commutativity.
+    abelian invariant factors from a Smith normal form of F's
+    abelianized Schreier relations.  ``is_toric`` is F's commutativity.
+    After the pseudoreflection test all work is walks on the Cayley graph.
     """
+    right = group.right
+    ngens = len(group.generators)
     # rank(xAx^-1 - I) == rank(A - I): the pseudoreflections are already
     # closed under conjugation, so they generate a normal subgroup
-    h_elements = _closure(group.identity(), pseudoreflections(group))
-    for x in group.generators:
-        if {c_mul(x, h) for h in h_elements} != {c_mul(h, x) for h in h_elements}:
+    refl = [group.index_of(a) for a in pseudoreflections(group)]
+    h_elements = _closure(0, refl, group.mul)[0]
+    for k in range(ngens):
+        if {group.mul(right[0][k], h) for h in h_elements} != {right[h][k] for h in h_elements}:
             raise AssertionError("reflection subgroup failed normality")
 
-    # cosets of H in G
-    coset_of = {}
-    coset_reps = []
-    for a in group.elements:
-        if a in coset_of:
-            continue
-        cid = len(coset_reps)
-        coset_reps.append(a)
-        for h in h_elements:
-            coset_of[c_mul(a, h)] = cid
-    f_order = len(coset_reps)
+    # cosets of H, breadth-first: xH.g == xgH, as H is normal.  Each
+    # coset edge c -> c.g_k gives the abelianized Schreier relation
+    # word(c) + e_k - word(c.g_k) of F on the group's generators.
+    coset_of = dict.fromkeys(h_elements, 0)
+    cosets = [h_elements]
+    exps = [(0,) * ngens]
+    relations = set()
+    for c, members in enumerate(cosets):
+        for k in range(ngens):
+            d = coset_of.get(right[members[0]][k])
+            if d is None:
+                d = len(cosets)
+                cosets.append([right[y][k] for y in members])
+                coset_of.update(dict.fromkeys(cosets[d], d))
+                exps.append(tuple(e + (t == k) for t, e in enumerate(exps[c])))
+            rel = tuple(e + (t == k) - f for t, (e, f) in enumerate(zip(exps[c], exps[d])))
+            if any(rel):
+                relations.add(rel)
+    f_order = len(cosets)
+    f_abelian = all(coset_of[right[right[0][j]][k]] == coset_of[right[right[0][k]][j]]
+                    for j in range(ngens) for k in range(j + 1, ngens))
 
-    def f_mul(i, j):
-        return coset_of[c_mul(coset_reps[i], coset_reps[j])]
-
-    f_inv = {}
-    for i in range(f_order):
-        for j in range(f_order):
-            if f_mul(i, j) == 0:
-                f_inv[i] = j
-                break
-
-    f_abelian = all(f_mul(i, j) == f_mul(j, i)
-                    for i in range(f_order) for j in range(i + 1, f_order))
-
-    commutators = sorted({f_mul(f_mul(i, j), f_mul(f_inv[i], f_inv[j]))
-                          for i in range(f_order) for j in range(f_order)})
-    cc = {0}
-    frontier = [0]
-    while frontier:
-        a = frontier.pop(0)
-        for c in commutators:
-            b = f_mul(a, c)
-            if b not in cc:
-                cc.add(b)
-                frontier.append(b)
-    commutant_order = len(cc)
-    order_h_tilde = commutant_order * len(h_elements)
-
-    # N = F/[F,F]: abelian invariants from generator relations
-    gen_cosets = [coset_of[g] for g in group.generators]
-    n_of = {}
-    n_reps = []
-    for i in range(f_order):
-        if i in n_of:
-            continue
-        nid = len(n_reps)
-        n_reps.append(i)
-        for c in cc:
-            n_of[f_mul(i, c)] = nid
-
-    def n_word(expo):
-        acc = 0
-        for g, e in zip(gen_cosets, expo):
-            for _ in range(e):
-                acc = f_mul(acc, g)
-        return n_of[acc]
-
-    orders = []
-    for g in gen_cosets:
-        k = 1
-        acc = g
-        while n_of[acc] != n_of[0]:
-            acc = f_mul(acc, g)
-            k += 1
-        orders.append(k)
-    relations = [tuple(o if i == j else 0 for j in range(len(orders)))
-                 for i, o in enumerate(orders)]
-    for expo in itertools.product(*(range(o) for o in orders)):
-        if any(expo) and n_word(expo) == n_of[0]:
-            relations.append(expo)
-    s, _u, _v = la.snf(relations)
-    diag = [s[i][i] for i in range(min(len(s), len(s[0])))]
-    if len(s[0]) > len(diag) or any(d == 0 for d in diag):
+    s = la.snf(sorted(relations))[0] if relations else []
+    diag = [s[i][i] for i in range(min(len(s), ngens))]
+    if len(diag) < ngens or 0 in diag:
         raise AssertionError("abelianization presentation was not finite")
-    invariants = tuple(d for d in diag if d >= 2)
-    n_order = 1
-    for d in diag:
-        n_order *= d
-    if n_order * commutant_order != f_order:
-        raise AssertionError("invariant factors do not multiply to |N|")
+    n_order = math.prod(diag)
+    if f_order % n_order or (n_order == f_order) != f_abelian:
+        raise AssertionError("|N| disagrees with F's generator commutators")
+    commutant_order = f_order // n_order
 
     return QuotientReport(
         order_g=group.order,
         order_h=len(h_elements),
-        order_h_tilde=order_h_tilde,
+        order_h_tilde=commutant_order * len(h_elements),
         f_abelian=f_abelian,
         commutant_order=commutant_order,
-        n_invariants=invariants,
+        n_invariants=tuple(d for d in diag if d >= 2),
         is_toric=f_abelian)
 
 

@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from coxtools.cli import main
 
 FIXTURE_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 FIXTURES = sorted(FIXTURE_DIR.glob("*.json"))
+SRC_DIR = str(FIXTURE_DIR.parent / "src")
 
 
 def run_cli(argv):
@@ -93,6 +95,68 @@ def test_malformed_input_exit_2(tmp_path):
     assert code == 2
 
 
+def _assert_malformed(code, out):
+    assert code == 2
+    assert out.endswith("\n") and out.count("\n") == 1
+    assert json.loads(out)["error"] == "malformed_input"
+
+
+Q8_GROUP = json.loads((FIXTURE_DIR / "quotient-report-q8.json").read_text())["payload"]
+
+
+@pytest.mark.parametrize("command", ["quotient-report", "reynolds"])
+@pytest.mark.parametrize("change", [
+    {"generators": [5]},
+    {"generators": [[5, 6]]},
+    {"generators": [[[1, 0], 5]]},
+    {"generators": [[[1, 0], [0, 1, 0]]]},
+    {"generators": []},
+    {"generators": "I"},
+    {"dim": 0},
+    {"dim": 0, "generators": [[]]},
+    {"conductor": 0},
+    {"conductor": -4},
+], ids=lambda c: json.dumps(c))
+def test_malformed_group_exit_2(tmp_path, command, change):
+    group = dict(Q8_GROUP, **change)
+    payload = group if command == "quotient-report" else {"group": group, "degree": 2}
+    p = tmp_path / "group.json"
+    p.write_text(json.dumps(payload))
+    _assert_malformed(*run_cli([command, str(p)]))
+
+
+@pytest.mark.parametrize("argv", [
+    ["quotient-report", "quotient-report-q8", "--cap", "0"],
+    ["quotient-report", "quotient-report-q8", "--cap", "-1"],
+    ["reynolds", "reynolds-plus-minus", "--cap", "0"],
+    ["check-axioms", "check-axioms-4-6-9", "--depth", "-1"],
+    ["extend", "extend-star-violation", "--depth", "-2"],
+], ids=" ".join)
+def test_bound_flags_below_minimum_exit_2(argv):
+    command, fixture, *flags = argv
+    _assert_malformed(*run_cli([command, str(FIXTURE_DIR / f"{fixture}.json"), *flags]))
+
+
+@pytest.mark.parametrize("command,fixture", [("check-axioms", "check-axioms-4-6-9"),
+                                             ("extend", "extend-star-violation")])
+def test_negative_payload_depth_exit_2(tmp_path, command, fixture):
+    payload = json.loads((FIXTURE_DIR / f"{fixture}.json").read_text())["payload"]
+    p = tmp_path / "depth.json"
+    p.write_text(json.dumps(dict(payload, depth=-1)))
+    _assert_malformed(*run_cli([command, str(p)]))
+
+
+def test_zero_bounds_are_taken_literally():
+    code, out = run_cli(["check-axioms", str(FIXTURE_DIR / "check-axioms-4-6-9.json"),
+                         "--depth", "0"])
+    assert code == 0
+    assert json.loads(out)["depth"] == "0"
+    code, out = run_cli(["quotient-report", str(FIXTURE_DIR / "quotient-report-q8.json"),
+                         "--cap", "1"])
+    assert code == 1
+    assert json.loads(out)["error"] == "ClosureCapExceededError"
+
+
 def test_parse_error_is_domain_error(tmp_path):
     p = tmp_path / "badpoly.json"
     p.write_text(json.dumps({"text": "y1 +* y2", "var_names": ["y1", "y2"]}))
@@ -142,18 +206,17 @@ def test_console_entry_point_subprocess():
     path = FIXTURE_DIR / "parse-poly-quartic-entry.json"
     proc = subprocess.run(
         [sys.executable, "-m", "coxtools.cli", "parse-poly", str(path)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC_DIR))
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["num_terms"] == "6"
 
 
 def test_output_stable_across_hash_seeds():
-    import os
     path = FIXTURE_DIR / "quotient-report-q8.json"
     outs = []
     for seed in ("0", "4242"):
-        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=SRC_DIR)
         proc = subprocess.run(
             [sys.executable, "-m", "coxtools.cli", "quotient-report", str(path)],
             capture_output=True, text=True, env=env)

@@ -1,10 +1,14 @@
+import functools
+import itertools
 from fractions import Fraction
 
 import pytest
 
+from coxtools import intlinalg as la
+from coxtools import quotients
 from coxtools.cyclotomic import CycloNum, cyclotomic_polynomial, euler_phi
-from coxtools.quotients import (ClosureCapExceededError, NotInvertibleError, c_mul,
-                                close_group, pseudoreflections, quotient_report,
+from coxtools.quotients import (ClosureCapExceededError, NotInvertibleError, QuotientReport,
+                                c_mul, close_group, pseudoreflections, quotient_report,
                                 reynolds_invariants,
                                 symmetric_power_trace_dimension)
 
@@ -121,6 +125,13 @@ def test_closure_cap():
         close_group([[[z, zero], [zero, z]]], conductor=5, cap=3)
 
 
+def test_conductor_inferred_from_any_cyclotomic_entry():
+    i = _i()
+    g = close_group([[[0, 1], [-1, 0]], [[i, 0], [0, -i]]])
+    assert g.conductor == 4 and g.order == 8
+    assert close_group([[[0, 1], [1, 0]]]).conductor == 1
+
+
 def test_singular_generator_rejected():
     with pytest.raises(NotInvertibleError):
         close_group([[[1, 1], [1, 1]]], conductor=1)
@@ -170,6 +181,135 @@ def test_pseudoreflections_are_closed_under_conjugation():
         refl = pseudoreflections(g)
         for x in g.elements:
             assert {c_mul(x, p) for p in refl} == {c_mul(p, x) for p in refl}
+
+
+def _binary_dihedral(n):
+    z = CycloNum.zeta(n)
+    zero, one = CycloNum(n), CycloNum.rational(n, 1)
+    return close_group([[[z, zero], [zero, z.inverse()]], [[zero, one], [-one, zero]]],
+                       conductor=n)
+
+
+def _diagonal_3gen():
+    """<diag(-1,1,1), diag(z^2,1,1), diag(z,z,z^5)> over Q(zeta_6): order
+    36, H = {diag(z^a,1,1)} of order 6 generated by reflections of orders
+    2 and 3, and F cyclic of order 6."""
+    z = CycloNum.zeta(6)
+    zero, one = CycloNum(6), CycloNum.rational(6, 1)
+    diags = [(-one, one, one), (z * z, one, one), (z, z, z.inverse())]
+    return close_group([[[d[r] if r == c else zero for c in range(3)] for r in range(3)]
+                        for d in diags], conductor=6)
+
+
+def _q8_with_reflection():
+    """Q8 on the first two coordinates and a reflection on the third:
+    H has order 2 and F = Q8, whose third generator is the first not to
+    commute with the others."""
+    i = _i()
+    return close_group([[[1, 0, 0], [0, 1, 0], [0, 0, -1]],
+                        [[i, 0, 0], [0, -i, 0], [0, 0, 1]],
+                        [[0, 1, 0], [-1, 0, 0], [0, 0, 1]]], conductor=4)
+
+
+def _alternating_4():
+    """A4 permuting four coordinates: no reflections, [F, F] = V4."""
+    perms = [(1, 2, 0, 3), (0, 2, 3, 1)]
+    return close_group([[[int(p[r] == c) for c in range(4)] for r in range(4)] for p in perms])
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_groups():
+    """Groups with their multiplication tables from matrix products."""
+    groups = _test_groups() + [_binary_dihedral(n) for n in range(3, 9)] + \
+        [_diagonal_3gen(), _q8_with_reflection(), _alternating_4()]
+    return tuple((g, [[g.index_of(c_mul(a, b)) for b in g.elements] for a in g.elements])
+                 for g in groups)
+
+
+def _reference_report(group, table):
+    """The quotient analysis on coset representatives and the matrix
+    multiplication table: the commutator subgroup of F by closure, and
+    N's relations from every exponent vector of the generators' orders."""
+    refl = [group.index_of(a) for a in pseudoreflections(group)]
+    h_elements = [0]
+    for a in h_elements:
+        h_elements += [b for b in dict.fromkeys(table[a][r] for r in refl)
+                       if b not in h_elements]
+    coset_of = {}
+    coset_reps = []
+    for a in range(group.order):
+        if a not in coset_of:
+            coset_of.update((table[a][h], len(coset_reps)) for h in h_elements)
+            coset_reps.append(a)
+    f_order = len(coset_reps)
+
+    def f_mul(i, j):
+        return coset_of[table[coset_reps[i]][coset_reps[j]]]
+
+    f_inv = {i: next(j for j in range(f_order) if f_mul(i, j) == 0) for i in range(f_order)}
+    f_abelian = all(f_mul(i, j) == f_mul(j, i)
+                    for i in range(f_order) for j in range(i + 1, f_order))
+    commutators = {f_mul(f_mul(i, j), f_mul(f_inv[i], f_inv[j]))
+                   for i in range(f_order) for j in range(f_order)}
+    cc = [0]
+    for a in cc:
+        cc += [b for b in dict.fromkeys(f_mul(a, c) for c in commutators) if b not in cc]
+    n_of = {}
+    for i in range(f_order):
+        if i not in n_of:
+            n_of.update((f_mul(i, c), i) for c in cc)
+    gen_cosets = [coset_of[group.index_of(g)] for g in group.generators]
+
+    def n_word(expo):
+        acc = 0
+        for g, e in zip(gen_cosets, expo):
+            for _ in range(e):
+                acc = f_mul(acc, g)
+        return n_of[acc]
+
+    orders = []
+    for g in gen_cosets:
+        k, acc = 1, g
+        while n_of[acc] != n_of[0]:
+            acc, k = f_mul(acc, g), k + 1
+        orders.append(k)
+    relations = [tuple(o if i == j else 0 for j in range(len(orders)))
+                 for i, o in enumerate(orders)]
+    relations += [e for e in itertools.product(*(range(o) for o in orders))
+                  if any(e) and n_word(e) == n_of[0]]
+    s = la.snf(relations)[0]
+    diag = [s[i][i] for i in range(len(orders))]
+    return QuotientReport(
+        order_g=group.order, order_h=len(h_elements),
+        order_h_tilde=len(cc) * len(h_elements), f_abelian=f_abelian,
+        commutant_order=len(cc), n_invariants=tuple(d for d in diag if d >= 2),
+        is_toric=f_abelian)
+
+
+def test_index_product_is_the_matrix_product():
+    for g, table in _oracle_groups():
+        assert [[g.mul(i, j) for j in range(g.order)] for i in range(g.order)] == table
+
+
+def test_quotient_report_matches_matrix_reference():
+    for g, table in _oracle_groups():
+        assert quotient_report(g) == _reference_report(g, table)
+    assert quotient_report(_q8_with_reflection()) == QuotientReport(16, 2, 4, False, 2, (2, 2), False)
+    assert quotient_report(_alternating_4()) == QuotientReport(12, 1, 4, False, 4, (3,), False)
+
+
+def test_quotient_report_makes_no_matrix_products(monkeypatch):
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return c_mul(a, b)
+
+    groups = [g for g, _ in _oracle_groups()]
+    monkeypatch.setattr(quotients, "c_mul", counted)
+    for g in groups:
+        quotient_report(g)
+    assert not calls
 
 
 # -- quotient reports ----------------------------------------------------------------
