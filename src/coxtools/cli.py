@@ -26,6 +26,9 @@ from .toric import cox_data, pullback, verify_lift
 
 # every domain error of the package subclasses ValueError, except the closure cap
 DOMAIN_ERRORS = (ValueError, ClosureCapExceededError, ZeroDivisionError)
+# CycloNum builds the n-th cyclotomic polynomial by dividing x^n - 1 through
+# every lower cyclotomic factor; the fixtures and tests use conductors <= 24
+MAX_CONDUCTOR = 1000
 
 
 class InputError(Exception):
@@ -87,22 +90,30 @@ def _as_fraction(x):
     raise InputError(f"expected a rational, got {type(x).__name__}")
 
 
-def _int_vector(x):
+def _list(x, what="a vector"):
     if not isinstance(x, list):
-        raise InputError("expected a vector (JSON array)")
-    return tuple(_as_int(e) for e in x)
+        raise InputError(f"expected {what} (JSON array)")
+    return x
 
 
-def _int_matrix(x):
+def _int_vector(x):
+    return tuple(_as_int(e) for e in _list(x))
+
+
+def _int_matrix(x, width=None):
+    """Nonempty integer matrix; with ``width``, every row must have that length."""
     if not isinstance(x, list) or not x:
         raise InputError("expected a nonempty matrix (array of arrays)")
-    return tuple(_int_vector(row) for row in x)
+    rows = tuple(_int_vector(row) for row in x)
+    if width is not None and any(len(row) != width for row in rows):
+        raise InputError(f"expected rows of length {width}")
+    return rows
 
 
 def _fraction_matrix(x):
     if not isinstance(x, list) or not x:
         raise InputError("expected a nonempty matrix (array of arrays)")
-    return tuple(tuple(_as_fraction(e) for e in row) for row in x)
+    return tuple(tuple(_as_fraction(e) for e in _list(row)) for row in x)
 
 
 def _load(path):
@@ -112,7 +123,9 @@ def _load(path):
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     if isinstance(doc, dict) and "payload" in doc:
-        return doc["payload"]
+        doc = doc["payload"]
+    if not isinstance(doc, dict):
+        raise InputError("the payload must be a JSON object")
     return doc
 
 
@@ -124,37 +137,61 @@ def _require(doc, key):
 
 def _decode_monoid(doc):
     rank = _as_int(_require(doc, "ambient_rank"))
-    gens = _int_matrix(_require(doc, "generators"))
-    basis = _int_matrix(doc["group_basis"]) if doc.get("group_basis") else None
+    gens = _int_matrix(_require(doc, "generators"), rank)
+    basis = _int_matrix(doc["group_basis"], rank) if doc.get("group_basis") else None
     return AffineMonoid(rank, gens, group_basis=basis)
 
 
 def _decode_cone(doc):
     rank = _as_int(_require(doc, "ambient_rank"))
-    rays = _int_matrix(_require(doc, "rays"))
-    lattice = _int_matrix(doc["lattice"]) if doc.get("lattice") else None
+    rays = _int_matrix(_require(doc, "rays"), rank)
+    lattice = _int_matrix(doc["lattice"], rank) if doc.get("lattice") else None
     return Cone(rank, rays, lattice=lattice)
 
 
 def _decode_grading(doc):
     if doc is None:
         return quadric_grading()
-    group = AbGroup(_as_int(_require(doc, "free_rank")),
-                    tuple(_as_int(d) for d in doc.get("torsion", [])))
+    group = AbGroup(_as_int(_require(doc, "free_rank")), _int_vector(doc.get("torsion", [])))
     degs = []
-    for d in _require(doc, "var_degrees"):
-        degs.append(group.element(tuple(_as_int(x) for x in d.get("free", [])),
-                                  tuple(_as_int(x) for x in d.get("torsion", []))))
+    for d in _list(_require(doc, "var_degrees"), "a list of degrees"):
+        if not isinstance(d, dict):
+            raise InputError("each variable degree must be an object")
+        degs.append(group.element(_int_vector(d.get("free", [])),
+                                  _int_vector(d.get("torsion", []))))
     return GradedRing(group, tuple(degs))
 
 
-def _var_names(doc, count, prefix="y"):
-    names = doc.get("var_names")
-    if names is None:
-        return [f"{prefix}{i + 1}" for i in range(count)]
-    if not isinstance(names, list) or len(names) != count:
+def _var_names(doc, count=None):
+    """The payload's ``var_names``: a list of strings, one per variable when
+    ``count`` is given.  Without ``count`` the field is required; otherwise
+    it defaults to y1, ..., y<count>."""
+    if count is None:
+        names = _require(doc, "var_names")
+    else:
+        names = doc.get("var_names")
+        if names is None:
+            return [f"y{i + 1}" for i in range(count)]
+    if not isinstance(names, list) or (count is not None and len(names) != count) \
+            or not all(isinstance(n, str) for n in names):
         raise InputError("var_names must list one name per variable")
-    return [str(n) for n in names]
+    return names
+
+
+def _poly(text, names):
+    if not isinstance(text, str):
+        raise InputError(f"expected a polynomial string, got {type(text).__name__}")
+    return parse_poly(text, names)
+
+
+def _polys(texts, names):
+    return [_poly(t, names) for t in _list(texts, "a list of polynomials")]
+
+
+def _variable(x, index_of):
+    if not isinstance(x, str) or x not in index_of:
+        raise InputError(f"unknown variable {x!r}")
+    return index_of[x]
 
 
 def _decode_cyclo_entry(value, conductor):
@@ -186,6 +223,8 @@ def _is_square(x, dim):
 def _decode_group(doc):
     dim = _at_least(_as_int(_require(doc, "dim")), 1, "dim")
     conductor = _at_least(_as_int(_require(doc, "conductor")), 1, "conductor")
+    if conductor > MAX_CONDUCTOR:
+        raise InputError(f"conductor must be at most {MAX_CONDUCTOR}")
     gmats = _require(doc, "generators")
     if not isinstance(gmats, list) or not gmats or not all(_is_square(g, dim) for g in gmats):
         raise InputError("group generators must be a nonempty list of dim x dim matrices")
@@ -223,8 +262,8 @@ def _render_invariant(form, names):
 # -- subcommands ----------------------------------------------------------------
 
 def cmd_parse_poly(doc, args):
-    names = _require(doc, "var_names")
-    p = parse_poly(_require(doc, "text"), names)
+    names = _var_names(doc)
+    p = _poly(_require(doc, "text"), names)
     return {
         "canonical": p.render(names),
         "num_terms": len(p.terms),
@@ -255,7 +294,7 @@ def cmd_check_axioms(doc, args):
     depth = _depth(args, doc, 6)
     if doc.get("ambient_functionals"):
         dt = DivisorTheory.from_ambient_functionals(
-            m, _int_matrix(doc["ambient_functionals"]))
+            m, _int_matrix(doc["ambient_functionals"], m.ambient_rank))
     else:
         dt = divisor_theory(m)
     rep = verify_divisor_axioms(dt, depth)
@@ -310,8 +349,8 @@ def cmd_verify_lift(doc, args):
     k = len(cd.characters)
     xnames = [f"x{i + 1}" for i in range(k)]
     ynames = [f"y{i + 1}" for i in range(len(cd.rays))]
-    psi = [parse_poly(s, xnames) for s in _require(doc, "psi")]
-    phi_images = [parse_poly(s, ynames) for s in _require(doc, "phi")]
+    psi = _polys(_require(doc, "psi"), xnames)
+    phi_images = _polys(_require(doc, "phi"), ynames)
     phi = GradedEndo(cd.graded_ring, PolyMap(tuple(phi_images)))
     return {"ok": verify_lift(cd, psi, phi)}
 
@@ -319,8 +358,8 @@ def cmd_verify_lift(doc, args):
 def cmd_compose(doc, args):
     n = _as_int(_require(doc, "num_vars"))
     names = _var_names(doc, n)
-    maps = [PolyMap(tuple(parse_poly(s, names) for s in images), source_vars=n)
-            for images in _require(doc, "maps")]
+    maps = [PolyMap(tuple(_polys(images, names)), source_vars=n)
+            for images in _list(_require(doc, "maps"), "a list of maps")]
     if any(len(m.images) != n for m in maps):
         raise InputError("each map needs one image per variable")
     result = compose_chain(maps)
@@ -328,10 +367,10 @@ def cmd_compose(doc, args):
 
 
 def cmd_jacobian(doc, args):
-    images = _require(doc, "images")
+    images = _list(_require(doc, "images"), "a list of polynomials")
     n = len(images)
     names = _var_names(doc, n)
-    m = PolyMap(tuple(parse_poly(s, names) for s in images), source_vars=n)
+    m = PolyMap(tuple(_polys(images, names)), source_vars=n)
     jac = jacobian(m)
     return {
         "matrix": [[p.render(names) for p in row] for row in jac],
@@ -344,12 +383,9 @@ def cmd_wildness_cert(doc, args):
     names = _var_names(doc, ring.num_vars)
     index_of = {n: i for i, n in enumerate(names)}
     seq = []
-    for step in _require(doc, "sequence"):
-        var = _require(step, "variable")
-        if var not in index_of:
-            raise InputError(f"unknown variable {var!r}")
-        f = parse_poly(_require(step, "poly"), names)
-        seq.append(shear_map(ring, index_of[var], f))
+    for step in _list(_require(doc, "sequence"), "a list of shears"):
+        var = _variable(_require(step, "variable"), index_of)
+        seq.append(shear_map(ring, var, _poly(_require(step, "poly"), names)))
     result = wildness_certificate(seq, ring)
     if isinstance(result, NotZeta):
         return {"kind": "not_zeta", "variable": names[result.variable]}
@@ -366,13 +402,11 @@ def cmd_shear_family(doc, args):
     ring = _decode_grading(doc.get("grading"))
     names = _var_names(doc, ring.num_vars)
     index_of = {n: i for i, n in enumerate(names)}
-    var = _require(doc, "variable")
-    if var not in index_of:
-        raise InputError(f"unknown variable {var!r}")
-    f = parse_poly(_require(doc, "f"), names)
-    h = parse_poly(_require(doc, "h"), names)
+    var = _variable(_require(doc, "variable"), index_of)
+    f = _poly(_require(doc, "f"), names)
+    h = _poly(_require(doc, "h"), names)
     k = _as_int(_require(doc, "k"))
-    endo = shear_family(ring, index_of[var], f, h, k)
+    endo = shear_family(ring, var, f, h, k)
     return {"images": [p.render(names) for p in endo.map.images]}
 
 

@@ -37,14 +37,6 @@ def _dual_extreme_rays(normals, dim):
     by ``dim`` independent normals, then clip by the remaining halfspaces,
     keeping only extreme rays (tight-set rank dim-1) after each step.
     """
-    if dim == 0:
-        return ()
-    if dim == 1:
-        signs = {1 if n[0] > 0 else -1 for n in normals if n[0] != 0}
-        if len(signs) != 1:
-            return ()
-        return ((signs.pop(),),)
-
     # pick dim independent normals for the simplicial seed
     seed = []
     rest = []
@@ -226,27 +218,25 @@ def cone_contains(c, v):
                for d in c._dual)
 
 
-def _parallelepiped_points(rows):
+def _parallelepiped_points(rows, det):
     """Nonzero lattice points of the half-open parallelepiped of ``rows``.
 
     ``rows`` are linearly independent integer vectors in ZZ^dim with
-    dim == len(rows); points x satisfy x = sum t_i rows_i, 0 <= t_i < 1.
+    dim == len(rows) and determinant ``det``; points x satisfy
+    x = sum t_i rows_i, 0 <= t_i < 1.  The Hermite normal form of
+    ``rows`` is upper triangular with a positive diagonal, so the box
+    0 <= x_i < h_ii holds one point of each class modulo the row lattice;
+    each is moved into the parallelepiped by subtracting floor(t_i) rows_i,
+    where t = x . adj / det with the integral adjugate adj = det rows^{-1}.
     """
-    s, _u, v = la.snf(rows)
-    dim = len(rows)
-    diag = [s[i][i] for i in range(dim)]
-    vinv = la.inverse_int(v)
-    tinv = la.inverse_frac(rows)
+    h, _u = la.hnf(rows)
+    adj = tuple(tuple(int(f * det) for f in row) for row in la.inverse_frac(rows))
     points = []
-    for residues in itertools.product(*(range(d) for d in diag)):
-        x0 = tuple(sum(residues[i] * vinv[i][j] for i in range(dim)) for j in range(dim))
-        # t = x0 . rows^{-1}; reduce fractional parts into [0, 1)
-        t = tuple(sum(Fraction(x0[i]) * tinv[i][j] for i in range(dim)) for j in range(dim))
-        x = x0
-        for i, ti in enumerate(t):
-            fl = ti.numerator // ti.denominator
-            if fl:
-                x = tuple(a - fl * b for a, b in zip(x, rows[i]))
+    for x in itertools.product(*(range(h[i][i]) for i in range(len(rows)))):
+        for i, ti in enumerate(la.vec_mat(x, adj)):
+            q = ti // det
+            if q:
+                x = la.vec_sub(x, la.vec_scale(rows[i], q))
         if not la.is_zero_vec(x):
             points.append(x)
     return points
@@ -276,9 +266,10 @@ def hilbert_basis(c):
 
     candidates = set(coords)
     for subset in itertools.combinations(coords, dim):
-        if la.det_int(subset) == 0:
+        det = la.det_int(subset)
+        if det == 0:
             continue
-        for p in _parallelepiped_points(subset):
+        for p in _parallelepiped_points(subset, det):
             if in_cone(p):
                 candidates.add(p)
     ordered = sorted(candidates, key=lambda x: (weight(x), x))

@@ -89,33 +89,14 @@ class AffineMonoid:
             return False
         target = tuple(int(c) for c in coords)
         dual = self.cone.facet_normals()
-        gen_coords = self.cone_coords_of_generators()
 
         # termination: subtracting a generator strictly decreases the sum
         # of all facet values, which stays nonnegative inside the cone
         def in_cone(x):
             return all(la.dot(d, x) >= 0 for d in dual)
 
-        if not in_cone(target):
-            return False
-        memo = {}
-
-        def search(t, start):
-            if la.is_zero_vec(t):
-                return True
-            key = (t, start)
-            if key in memo:
-                return memo[key]
-            ok = False
-            for i in range(start, len(gen_coords)):
-                rest = la.vec_sub(t, gen_coords[i])
-                if in_cone(rest) and search(rest, i):
-                    ok = True
-                    break
-            memo[key] = ok
-            return ok
-
-        return search(target, 0)
+        return in_cone(target) and _represents(
+            target, self.cone_coords_of_generators(), in_cone)
 
     def cone_coords_of_generators(self):
         out = []
@@ -125,6 +106,27 @@ class AffineMonoid:
                 raise AssertionError("generator fell outside its span lattice")
             out.append(c)
         return tuple(out)
+
+
+def _represents(t, vectors, inside):
+    """Is t a nonnegative integer combination of ``vectors``?
+
+    Memoized depth-first subtraction, with vectors used in nondecreasing
+    index order.  ``inside`` must hold on every such combination; a
+    remainder failing it is pruned.  The caller guarantees termination.
+    """
+    memo = {}
+
+    def search(t, start):
+        if la.is_zero_vec(t):
+            return True
+        key = (t, start)
+        if key not in memo:
+            memo[key] = any(inside(rest) and search(rest, i) for i, rest in
+                            enumerate((la.vec_sub(t, v) for v in vectors[start:]), start))
+        return memo[key]
+
+    return search(t, 0)
 
 
 def is_saturated(m):
@@ -211,16 +213,15 @@ class DivisorTheory:
         representative vanishing on the orthogonal complement of the
         group's span is chosen.
         """
-        b = self.lattice_basis
-        gram = la.mat_mul(b, la.transpose(b))
-        ginv = la.inverse_frac(gram)
-        out = []
-        for f in self.functionals:
-            lam = tuple(sum(Fraction(f[i]) * ginv[i][j] for i in range(len(f)))
-                        for j in range(len(f)))
-            out.append(tuple(sum(lam[i] * b[i][j] for i in range(len(lam)))
-                             for j in range(self.monoid.ambient_rank)))
-        return tuple(out)
+        return _span_covectors(self.lattice_basis, self.functionals)
+
+
+def _span_covectors(basis, values):
+    """For each row v of ``values``, the rational covector in the row span
+    of ``basis`` whose pairing with basis row i is v_i: lam . basis with
+    lam = v . (basis basis^T)^{-1}."""
+    ginv = la.inverse_frac(la.mat_mul(basis, la.transpose(basis)))
+    return tuple(la.vec_mat(la.vec_mat(v, ginv), basis) for v in values)
 
 
 def divisor_theory(m):
@@ -259,30 +260,18 @@ def _enumerate_elements(dt, depth, alpha=None):
     alpha_images = tuple(alpha.image(g) for g in gens) if alpha else None
     seen = {}
     order = []
-    zero_amb = (0,) * dt.monoid.ambient_rank
-    unit = _Element(zero_amb, (0,) * dt.free_rank,
+    unit = _Element((0,) * dt.monoid.ambient_rank, (0,) * dt.free_rank,
                     (0,) * alpha.target_rank if alpha else None)
     seen[unit.tau] = unit
     order.append(unit)
-    gen_sums = [sum(t) for t in tau_images]
-    max_degree = depth  # every generator image has coordinate sum >= 1
-    for degree in range(1, max_degree + 1):
+    # every generator image has coordinate sum >= 1, so degree <= depth
+    for degree in range(1, depth + 1):
         for expo in la.compositions(degree, len(gens)):
-            s = sum(e * g for e, g in zip(expo, gen_sums))
-            if s > depth:
+            tau = la.vec_mat(expo, tau_images)
+            if sum(tau) > depth or tau in seen:
                 continue
-            tau = tuple(sum(e * t[i] for e, t in zip(expo, tau_images))
-                        for i in range(dt.free_rank))
-            if tau in seen:
-                continue
-            ambient = zero_amb
-            for e, g in zip(expo, gens):
-                ambient = la.vec_add(ambient, la.vec_scale(g, e))
-            al = None
-            if alpha:
-                al = tuple(sum(e * a[i] for e, a in zip(expo, alpha_images))
-                           for i in range(alpha.target_rank))
-            el = _Element(ambient, tau, al)
+            el = _Element(la.vec_mat(expo, gens), tau,
+                          la.vec_mat(expo, alpha_images) if alpha else None)
             seen[tau] = el
             order.append(el)
     return order
@@ -416,16 +405,7 @@ class MonoidHom:
             rows.append(sol)
         # project each row onto the span of the generators
         basis = monoid.cone.span_basis
-        gram = la.mat_mul(basis, la.transpose(basis))
-        ginv = la.inverse_frac(gram)
-        proj = []
-        for row in rows:
-            vals = tuple(sum(Fraction(b[j]) * row[j] for j in range(len(row))) for b in basis)
-            lam = tuple(sum(vals[i] * ginv[i][j] for i in range(len(vals)))
-                        for j in range(len(vals)))
-            proj.append(tuple(sum(lam[i] * Fraction(basis[i][j]) for i in range(len(lam)))
-                              for j in range(monoid.ambient_rank)))
-        hom = cls(proj)
+        hom = cls(_span_covectors(basis, [la.mat_vec(basis, row) for row in rows]))
         for g, im in zip(gens, images):
             if hom.image(g) != tuple(im):
                 raise ValueError("images are inconsistent with generator relations")
@@ -502,29 +482,8 @@ def extend_embedding(dt, alpha, depth=DEFAULT_DEPTH):
 
     alpha_gen_images = tuple(alpha.image(g) for g in gens)
 
-    def alpha_represents(s):
-        """Exact decision of s in alpha(monoid), by bounded subtraction."""
-        memo = {}
-
-        def rec(t, start):
-            if all(x == 0 for x in t):
-                return True
-            key = (t, start)
-            if key in memo:
-                return memo[key]
-            ok = False
-            for i in range(start, len(alpha_gen_images)):
-                gi = alpha_gen_images[i]
-                if all(x >= y for x, y in zip(t, gi)):
-                    if rec(tuple(x - y for x, y in zip(t, gi)), i):
-                        ok = True
-                        break
-            memo[key] = ok
-            return ok
-
-        return rec(s, 0)
-
-    # condition (*)
+    # condition (*): s in alpha(monoid) is decided exactly, since every
+    # alpha-image of a generator is nonnegative and nonzero
     nonunit = elements[1:]
     for a in nonunit:
         for b in nonunit:
@@ -533,7 +492,7 @@ def extend_embedding(dt, alpha, depth=DEFAULT_DEPTH):
             s = tuple(x - y for x, y in zip(a.alpha, b.alpha))
             if any(x < 0 for x in s) or all(x == 0 for x in s):
                 continue
-            if not alpha_represents(s):
+            if not _represents(s, alpha_gen_images, lambda x: min(x) >= 0):
                 return ViolationStar(a.ambient, b.ambient, s)
 
     # condition (**): one maximal candidate subset per target prime

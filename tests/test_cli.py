@@ -1,3 +1,4 @@
+import importlib.util
 import io
 import json
 import os
@@ -42,6 +43,19 @@ def test_fixture_matches_expected(path):
     code, out = run_cli([doc["command"], str(path)])
     assert code == 0
     assert json.loads(out) == doc["expected"]
+
+
+def test_fixture_generator_table_matches_corpus():
+    script = FIXTURE_DIR.parent / "tools" / "gen_fixtures.py"
+    spec = importlib.util.spec_from_file_location("gen_fixtures", script)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)  # defines the table; main() is not called
+    table = {name: (command, source, json.loads(json.dumps(payload)))
+             for name, command, source, payload in gen.FIXTURES}
+    assert len(table) == len(gen.FIXTURES) == len(FIXTURES) == 28
+    for path in FIXTURES:
+        doc = json.loads(path.read_text())
+        assert table[path.stem] == (doc["command"], doc["source"], doc["payload"])
 
 
 @pytest.mark.parametrize("path", FIXTURES[:6], ids=lambda p: p.stem)
@@ -121,6 +135,59 @@ def test_malformed_group_exit_2(tmp_path, command, change):
     group = dict(Q8_GROUP, **change)
     payload = group if command == "quotient-report" else {"group": group, "degree": 2}
     p = tmp_path / "group.json"
+    p.write_text(json.dumps(payload))
+    _assert_malformed(*run_cli([command, str(p)]))
+
+
+@pytest.mark.parametrize("command", ["quotient-report", "reynolds"])
+def test_conductor_bound(tmp_path, command):
+    for conductor, code in ((720720, 2), (1000, 0)):
+        group = {"dim": 1, "conductor": conductor, "generators": [[[1]]]}
+        payload = group if command == "quotient-report" else {"group": group, "degree": 1}
+        p = tmp_path / "group.json"
+        p.write_text(json.dumps(payload))
+        got, out = run_cli([command, str(p)])
+        if code:
+            _assert_malformed(got, out)
+        else:
+            assert got == 0, out
+
+
+SHEAR = {"variable": "y1", "f": "y2", "h": "y2*y3", "k": 1}
+
+
+@pytest.mark.parametrize("command,payload", [
+    ("parse-poly", {"text": 5, "var_names": ["y1"]}),
+    ("parse-poly", {"text": "y1", "var_names": "y1"}),
+    ("parse-poly", {"text": "y1", "var_names": [1, 2]}),
+    ("parse-poly", {"text": "y1", "var_names": ["y1", ["y2"]]}),
+    ("wildness-cert", {"grading": {"free_rank": 1, "var_degrees": [1, 1, -1, -1]},
+                       "sequence": [{"variable": "y1", "poly": "y2"}]}),
+    ("wildness-cert", {"grading": {"free_rank": 1, "torsion": 2,
+                                   "var_degrees": [{"free": [1]}]}, "sequence": []}),
+    ("wildness-cert", {"sequence": [{"variable": ["y2"], "poly": "y1"}]}),
+    ("wildness-cert", {"sequence": 5}),
+    ("shear-family", dict(SHEAR, variable={"value": "y1"})),
+    ("shear-family", dict(SHEAR, h=3)),
+    ("compose", {"num_vars": 1, "var_names": [1], "maps": [["y1"]]}),
+    ("compose", {"num_vars": 1, "maps": ["y1"]}),
+    ("jacobian", {"images": "y1"}),
+    ("jacobian", {"images": [None, "y1"]}),
+    ("verify-lift", {"cone": {"ambient_rank": 2, "rays": [[1, 0], [0, 1]]},
+                     "psi": ["x1", 2], "phi": ["y1", "y2"]}),
+    ("saturate", {"ambient_rank": 2, "generators": [[1, 0], [1]]}),
+    ("divisor-theory", {"ambient_rank": 2, "generators": [[1, 0, 0]]}),
+    ("saturate", {"ambient_rank": 2, "generators": [[1, 0]], "group_basis": [[1, 0, 0]]}),
+    ("cox-data", {"ambient_rank": 2, "rays": [[1, 0], [1]]}),
+    ("cox-data", {"ambient_rank": 2, "rays": [[1, 0]], "lattice": [[1, 0, 0], [0, 1, 0]]}),
+    ("check-axioms", {"monoid": {"ambient_rank": 2, "generators": [[1, 0], [0, 1]]},
+                      "ambient_functionals": [[1, 0, 0], [0, 1, 0]]}),
+    ("extend", {"monoid": {"ambient_rank": 2, "generators": [[1, 0], [0, 1]]},
+                "alpha": {"matrix": [4, [0, 1]]}}),
+    ("wildness-cert", [{"sequence": []}]),
+], ids=lambda x: x if isinstance(x, str) else json.dumps(x))
+def test_malformed_payload_exit_2(tmp_path, command, payload):
+    p = tmp_path / "payload.json"
     p.write_text(json.dumps(payload))
     _assert_malformed(*run_cli([command, str(p)]))
 

@@ -1,8 +1,12 @@
+import itertools
+import random
+from fractions import Fraction
+
 import pytest
 
 from coxtools import intlinalg as la
-from coxtools.cones import (Cone, NonPointedError, cone_contains, dual_cone,
-                            hilbert_basis)
+from coxtools.cones import (Cone, NonPointedError, _parallelepiped_points, cone_contains,
+                            dual_cone, hilbert_basis)
 
 
 def test_orthant_self_dual():
@@ -115,3 +119,66 @@ def test_rank_four_cone_over_cube():
 def test_hilbert_basis_with_negative_coordinates():
     cone = Cone(2, [(1, -1), (1, 2)])
     assert hilbert_basis(cone) == ((1, -1), (1, 0), (1, 1), (1, 2))
+
+
+def _reference_parallelepiped_points(rows):
+    """The Smith-normal-form enumeration, kept as a test oracle: the SNF
+    diagonal gives one residue box, mapped back through V^{-1} and reduced
+    into [0, 1) with Fraction coordinates."""
+    s, _u, v = la.snf(rows)
+    dim = len(rows)
+    diag = [s[i][i] for i in range(dim)]
+    vinv = la.inverse_int(v)
+    tinv = la.inverse_frac(rows)
+    points = []
+    for residues in itertools.product(*(range(d) for d in diag)):
+        x0 = tuple(sum(residues[i] * vinv[i][j] for i in range(dim)) for j in range(dim))
+        t = tuple(sum(Fraction(x0[i]) * tinv[i][j] for i in range(dim)) for j in range(dim))
+        x = x0
+        for i, ti in enumerate(t):
+            fl = ti.numerator // ti.denominator
+            if fl:
+                x = tuple(a - fl * b for a, b in zip(x, rows[i]))
+        if not la.is_zero_vec(x):
+            points.append(x)
+    return points
+
+
+def test_parallelepiped_points_match_snf_reference():
+    rng = random.Random(4)
+    signs = set()
+    for dim in (1, 2, 3, 4):
+        done = 0
+        while done < 25:
+            rows = tuple(tuple(rng.randint(-4, 5) for _ in range(dim)) for _ in range(dim))
+            det = la.det_int(rows)
+            if det == 0 or abs(det) > 400:
+                continue
+            signs.add(det > 0)
+            points = _parallelepiped_points(rows, det)
+            assert len(points) == len(set(points)) == abs(det) - 1
+            assert set(points) == set(_reference_parallelepiped_points(rows))
+            done += 1
+    assert signs == {True, False}
+
+
+# cones with a one-dimensional span, which the general double description
+# handles: (input, rays, pointed, dual, Hilbert basis or None if not pointed)
+@pytest.mark.parametrize("gens,rays,pointed,dual,hb", [
+    ([(1,)], ((1,),), True, ((1,),), ((1,),)),
+    ([(3,)], ((1,),), True, ((1,),), ((1,),)),
+    ([(-2,)], ((-1,),), True, ((-1,),), ((-1,),)),
+    ([(1,), (-1,)], ((-1,), (1,)), False, (), None),
+    ([(2,), (5,)], ((1,),), True, ((1,),), ((1,),)),
+    ([(1, 0), (2, 0)], ((1, 0),), True, ((1,),), ((1, 0),)),
+    ([(0, 1, 0)], ((0, 1, 0),), True, ((1,),), ((0, 1, 0),)),
+    ([(1, 0, 0), (-1, 0, 0)], ((-1, 0, 0), (1, 0, 0)), False, (), None),
+], ids=str)
+def test_one_dimensional_cones(gens, rays, pointed, dual, hb):
+    c = Cone(len(gens[0]), gens)
+    assert (c.rays, c.pointed, c._dual) == (rays, pointed, dual)
+    if pointed:
+        assert hilbert_basis(c) == hb
+    else:
+        with pytest.raises(NonPointedError):
+            hilbert_basis(c)

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -5,8 +6,8 @@ import pytest
 from coxtools.cones import NonPointedError
 from coxtools.monoids import (AffineMonoid, Beta, DivisorTheory, MonoidHom,
                               NotAnEmbedding, NotSaturatedError, ViolationStar,
-                              ViolationStarStar, divisor_theory, extend_embedding,
-                              is_saturated, verify_divisor_axioms)
+                              ViolationStarStar, _enumerate_elements, divisor_theory,
+                              extend_embedding, is_saturated, verify_divisor_axioms)
 
 
 def test_units_rejected():
@@ -213,3 +214,61 @@ def test_class_group(dt_469, dt_10_14_15_21):
     assert dt_10_14_15_21.class_group() == (1, ())
     dt = divisor_theory(AffineMonoid(2, [(1, 0), (0, 1)]))
     assert dt.class_group() == (0, ())
+
+
+def test_monoid_contains_matches_brute_force():
+    gens = [(3, 0, 1), (0, 2, 1), (1, 1, 1), (2, 1, 0)]
+    m = AffineMonoid(3, gens)
+    sums = {tuple(sum(e * g[i] for e, g in zip(expo, gens)) for i in range(3))
+            for expo in itertools.product(range(6), repeat=len(gens))}
+    for v in itertools.product(range(-1, 6), repeat=3):
+        assert m.contains(v) == (v in sums), v
+
+
+# (ambient, tau, alpha) in enumeration order for 10, 14, 15, 21 at depth 6,
+# with alpha sending each generator g to (g, 1)
+ELEMENTS_10_14_15_21 = [
+    ((0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0, 0)),
+    ((1, 0, 1, 0), (1, 0, 1, 0), (1, 0, 1, 0, 1)),
+    ((1, 0, 0, 1), (0, 0, 1, 1), (1, 0, 0, 1, 1)),
+    ((0, 1, 1, 0), (1, 1, 0, 0), (0, 1, 1, 0, 1)),
+    ((0, 1, 0, 1), (0, 1, 0, 1), (0, 1, 0, 1, 1)),
+    ((2, 0, 2, 0), (2, 0, 2, 0), (2, 0, 2, 0, 2)),
+    ((2, 0, 1, 1), (1, 0, 2, 1), (2, 0, 1, 1, 2)),
+    ((1, 1, 2, 0), (2, 1, 1, 0), (1, 1, 2, 0, 2)),
+    ((1, 1, 1, 1), (1, 1, 1, 1), (1, 1, 1, 1, 2)),
+    ((2, 0, 0, 2), (0, 0, 2, 2), (2, 0, 0, 2, 2)),
+    ((1, 1, 0, 2), (0, 1, 1, 2), (1, 1, 0, 2, 2)),
+    ((0, 2, 2, 0), (2, 2, 0, 0), (0, 2, 2, 0, 2)),
+    ((0, 2, 1, 1), (1, 2, 0, 1), (0, 2, 1, 1, 2)),
+    ((0, 2, 0, 2), (0, 2, 0, 2), (0, 2, 0, 2, 2)),
+    ((3, 0, 3, 0), (3, 0, 3, 0), (3, 0, 3, 0, 3)),
+    ((3, 0, 2, 1), (2, 0, 3, 1), (3, 0, 2, 1, 3)),
+    ((2, 1, 3, 0), (3, 1, 2, 0), (2, 1, 3, 0, 3)),
+    ((2, 1, 2, 1), (2, 1, 2, 1), (2, 1, 2, 1, 3)),
+    ((3, 0, 1, 2), (1, 0, 3, 2), (3, 0, 1, 2, 3)),
+    ((2, 1, 1, 2), (1, 1, 2, 2), (2, 1, 1, 2, 3)),
+    ((1, 2, 3, 0), (3, 2, 1, 0), (1, 2, 3, 0, 3)),
+    ((1, 2, 2, 1), (2, 2, 1, 1), (1, 2, 2, 1, 3)),
+    ((1, 2, 1, 2), (1, 2, 1, 2), (1, 2, 1, 2, 3)),
+    ((3, 0, 0, 3), (0, 0, 3, 3), (3, 0, 0, 3, 3)),
+    ((2, 1, 0, 3), (0, 1, 2, 3), (2, 1, 0, 3, 3)),
+    ((1, 2, 0, 3), (0, 2, 1, 3), (1, 2, 0, 3, 3)),
+    ((0, 3, 3, 0), (3, 3, 0, 0), (0, 3, 3, 0, 3)),
+    ((0, 3, 2, 1), (2, 3, 0, 1), (0, 3, 2, 1, 3)),
+    ((0, 3, 1, 2), (1, 3, 0, 2), (0, 3, 1, 2, 3)),
+    ((0, 3, 0, 3), (0, 3, 0, 3), (0, 3, 0, 3, 3)),
+]
+
+
+def test_enumerate_elements_pinned(dt_10_14_15_21, monoid_10_14_15_21):
+    m = monoid_10_14_15_21
+    alpha = MonoidHom.from_generator_images(m, [g + (1,) for g in m.generators])
+    q, h = Fraction(1, 4), Fraction(1, 2)
+    # the span projection: the group is the hyperplane x1 + x2 = x3 + x4
+    assert alpha.matrix == ((3 * q, -q, q, q), (-q, 3 * q, q, q), (q, q, 3 * q, -q),
+                            (q, q, -q, 3 * q), (h, h, h, h))
+    elements = _enumerate_elements(dt_10_14_15_21, 6, alpha)
+    assert [(e.ambient, e.tau, e.alpha) for e in elements] == ELEMENTS_10_14_15_21
+    assert [(e.ambient, e.tau) for e in _enumerate_elements(dt_10_14_15_21, 6)] == \
+        [(a, t) for a, t, _ in ELEMENTS_10_14_15_21]

@@ -1,12 +1,16 @@
 """One-shot fixture generator: builds payloads, runs the command handlers,
 freezes the outputs as 'expected'. Review the diffs against hand-derived
-values before committing."""
+values before committing.  Paths are resolved from this file, so
+``python tools/gen_fixtures.py`` works from any directory and always uses
+this checkout's ``src`` and ``fixtures``."""
 
 import argparse
 import json
+import pathlib
 import sys
 
-sys.path.insert(0, "src")  # run from the repository root
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 from coxtools.cli import COMMANDS, encode
 
 ARGS = argparse.Namespace(depth=None, cap=None, pretty=False)
@@ -195,7 +199,7 @@ def main():
             "payload": payload,
             "expected": expected,
         }
-        path = f"fixtures/{name}.json"
+        path = ROOT / "fixtures" / f"{name}.json"
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2, sort_keys=False)
             fh.write("\n")
