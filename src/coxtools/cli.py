@@ -232,15 +232,6 @@ def _decode_group(doc):
                              for row in gmat) for gmat in gmats]
 
 
-def _grading_doc(ring):
-    return {
-        "free_rank": ring.group.free_rank,
-        "torsion": list(ring.group.torsion),
-        "var_degrees": [{"free": list(d.free), "torsion": list(d.torsion)}
-                        for d in ring.var_degrees],
-    }
-
-
 def _render_invariant(form, names):
     parts = []
     for expo in sorted(form, key=lambda e: (sum(e), e), reverse=True):
@@ -356,18 +347,21 @@ def cmd_verify_lift(doc, args):
 
 
 def cmd_compose(doc, args):
-    n = _as_int(_require(doc, "num_vars"))
+    n = _at_least(_as_int(_require(doc, "num_vars")), 1, "num_vars")
     names = _var_names(doc, n)
-    maps = [PolyMap(tuple(_polys(images, names)), source_vars=n)
-            for images in _list(_require(doc, "maps"), "a list of maps")]
-    if any(len(m.images) != n for m in maps):
+    maps = [_polys(images, names) for images in _list(_require(doc, "maps"), "a list of maps")]
+    if not maps:
+        raise InputError("compose needs at least one map")
+    if any(len(m) != n for m in maps):
         raise InputError("each map needs one image per variable")
-    result = compose_chain(maps)
+    result = compose_chain([PolyMap(tuple(m), source_vars=n) for m in maps])
     return {"images": [p.render(names) for p in result.images]}
 
 
 def cmd_jacobian(doc, args):
     images = _list(_require(doc, "images"), "a list of polynomials")
+    if not images:
+        raise InputError("a map needs at least one image")
     n = len(images)
     names = _var_names(doc, n)
     m = PolyMap(tuple(_polys(images, names)), source_vars=n)

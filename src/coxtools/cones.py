@@ -13,8 +13,6 @@ double description method using exact integer pivots.
 """
 
 import itertools
-from fractions import Fraction
-from math import gcd
 
 from . import intlinalg as la
 
@@ -28,6 +26,16 @@ class NotFullDimensionalError(ValueError):
 
 
 _MAX_RANK = 8
+
+
+def _inside(dual, x):
+    """Is x in the cone {x : d.x >= 0 for every row d of ``dual``}?"""
+    return all(la.dot(d, x) >= 0 for d in dual)
+
+
+def _is_extreme(r, normals, dim):
+    """Is r tight on dim - 1 independent normals (an extreme ray)?"""
+    return la.rank([n for n in normals if la.dot(n, r) == 0]) == dim - 1
 
 
 def _dual_extreme_rays(normals, dim):
@@ -48,15 +56,11 @@ def _dual_extreme_rays(normals, dim):
     if len(seed) < dim:
         raise NotFullDimensionalError("normals do not span the space")
 
-    # {x : B x >= 0} for invertible B is spanned by the columns of B^{-1}
-    binv = la.inverse_frac(seed)
-    rays = []
-    for j in range(dim):
-        col = [binv[i][j] for i in range(dim)]
-        den = 1
-        for f in col:
-            den = den * f.denominator // gcd(den, f.denominator)
-        rays.append(la.primitive(tuple(int(f * den) for f in col)))
+    # {x : B x >= 0} for invertible B is spanned by the columns of
+    # B^{-1} = adj / det, positive multiples of the columns of sign(det) adj
+    det, adj = la.adjugate(seed)
+    s = 1 if det > 0 else -1
+    rays = [la.primitive(tuple(s * x for x in col)) for col in la.transpose(adj)]
 
     processed = list(seed)
 
@@ -68,8 +72,7 @@ def _dual_extreme_rays(normals, dim):
             if r in seen:
                 continue
             seen.add(r)
-            tight = [n for n in processed if la.dot(n, r) == 0]
-            if la.rank(tight) == dim - 1:
+            if _is_extreme(r, processed, dim):
                 out.append(r)
         return out
 
@@ -147,14 +150,7 @@ class Cone:
         self.pointed = la.rank(dual) == dim if dual else dim == 0
         self._dual = dual
 
-        if self.pointed:
-            kept = []
-            for c in dict.fromkeys(sub):
-                tight = [d for d in dual if la.dot(d, c) == 0]
-                if la.rank(tight) == dim - 1:
-                    kept.append(c)
-        else:
-            kept = list(dict.fromkeys(sub))
+        kept = [c for c in dict.fromkeys(sub) if not self.pointed or _is_extreme(c, dual, dim)]
         pairs = sorted((la.vec_mat(c, self.span_basis), c) for c in kept)
         self.rays = tuple(p[0] for p in pairs)
         self._coords = tuple(p[1] for p in pairs)
@@ -170,10 +166,6 @@ class Cone:
         """Facet normals in coordinates dual to ``span_basis`` rows."""
         self._require_pointed()
         return self._dual
-
-    def ray_coords(self):
-        """Rays in coordinates of ``span_basis`` (full-dimensional there)."""
-        return self._coords
 
     def _require_pointed(self):
         if not self.pointed:
@@ -211,18 +203,15 @@ def cone_contains(c, v):
         raise ValueError("dimension mismatch")
     if not c.rays:
         return la.is_zero_vec(v)
-    x = la.rational_coords(c.span_basis, v)
-    if x is None:
-        return False
-    return all(sum(Fraction(d[i]) * x[i] for i in range(len(x))) >= 0
-               for d in c._dual)
+    x = la.solve(la.transpose(c.span_basis), v)
+    return x is not None and _inside(c._dual, x)
 
 
-def _parallelepiped_points(rows, det):
+def _parallelepiped_points(rows):
     """Nonzero lattice points of the half-open parallelepiped of ``rows``.
 
     ``rows`` are linearly independent integer vectors in ZZ^dim with
-    dim == len(rows) and determinant ``det``; points x satisfy
+    dim == len(rows); points x satisfy
     x = sum t_i rows_i, 0 <= t_i < 1.  The Hermite normal form of
     ``rows`` is upper triangular with a positive diagonal, so the box
     0 <= x_i < h_ii holds one point of each class modulo the row lattice;
@@ -230,7 +219,7 @@ def _parallelepiped_points(rows, det):
     where t = x . adj / det with the integral adjugate adj = det rows^{-1}.
     """
     h, _u = la.hnf(rows)
-    adj = tuple(tuple(int(f * det) for f in row) for row in la.inverse_frac(rows))
+    det, adj = la.adjugate(rows)
     points = []
     for x in itertools.product(*(range(h[i][i]) for i in range(len(rows)))):
         for i, ti in enumerate(la.vec_mat(x, adj)):
@@ -255,34 +244,17 @@ def hilbert_basis(c):
     if dim == 0 or not coords:
         return ()
     dual = c._dual
-
-    def in_cone(x):
-        return all(la.dot(d, x) >= 0 for d in dual)
-
-    weight_vec = tuple(sum(d[i] for d in dual) for i in range(dim))
-
-    def weight(x):
-        return la.dot(weight_vec, x)
-
     candidates = set(coords)
     for subset in itertools.combinations(coords, dim):
-        det = la.det_int(subset)
-        if det == 0:
+        if la.det_int(subset) == 0:
             continue
-        for p in _parallelepiped_points(subset, det):
-            if in_cone(p):
-                candidates.add(p)
-    ordered = sorted(candidates, key=lambda x: (weight(x), x))
+        candidates.update(p for p in _parallelepiped_points(subset) if _inside(dual, p))
+    # the facet-normal sum is positive on the nonzero points of the pointed
+    # cone, so a reducible x = y + z has an irreducible summand of smaller
+    # weight, accepted before x: reducing against the basis so far is exact
+    weight_vec = tuple(sum(d[i] for d in dual) for i in range(dim))
     basis = []
-    for x in ordered:
-        wx = weight(x)
-        reducible = False
-        for y in ordered:
-            if weight(y) >= wx:
-                break
-            if in_cone(la.vec_sub(x, y)):
-                reducible = True
-                break
-        if not reducible:
+    for x in sorted(candidates, key=lambda x: (la.dot(weight_vec, x), x)):
+        if not any(_inside(dual, la.vec_sub(x, h)) for h in basis):
             basis.append(x)
     return tuple(sorted(la.vec_mat(b, c.span_basis) for b in basis))

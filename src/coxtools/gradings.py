@@ -200,21 +200,17 @@ def degree_of(p, ring):
 class GradedEndo:
     """Endomorphism of a graded polynomial ring by homogeneous images."""
 
-    def __init__(self, ring, polymap, elementary=None, validate=True):
+    def __init__(self, ring, polymap, elementary=None):
         if polymap.source_vars != ring.num_vars or polymap.target_vars != ring.num_vars:
             raise ValueError("map must be an endomorphism of the ring's variables")
         self.ring = ring
         self.map = polymap
         self.elementary = elementary
-        if validate:
-            for i, img in enumerate(polymap.images):
-                try:
-                    degree_of(img, ring)
-                except NotHomogeneousError:
-                    raise ImagesNotHomogeneousError(i) from None
-
-    def image_degrees(self):
-        return tuple(degree_of(img, self.ring) for img in self.map.images)
+        for i, img in enumerate(polymap.images):
+            try:
+                degree_of(img, ring)
+            except NotHomogeneousError:
+                raise ImagesNotHomogeneousError(i) from None
 
     def __eq__(self, other):
         return (isinstance(other, GradedEndo) and self.ring == other.ring
@@ -231,13 +227,17 @@ class NormalizationResult:
     witness: str = ""
 
 
-def _degree_endo_candidates(group, pairs, search_bound=2, cap=20000):
+_SEARCH_BOUND = 2
+_CANDIDATE_CAP = 20000
+
+
+def _degree_endo_candidates(group, pairs):
     """Deterministic stream of degree endomorphisms matching the pairs.
 
     ``pairs`` are (source GroupElem, target GroupElem).  The free part is
     solved exactly over the rationals; when underdetermined, integer
-    nullspace offsets with coefficients up to ``search_bound`` are tried.
-    Torsion blocks are enumerated exhaustively (guarded by ``cap``).
+    nullspace offsets with coefficients up to ``_SEARCH_BOUND`` are tried.
+    Torsion blocks are enumerated exhaustively (guarded by ``_CANDIDATE_CAP``).
     """
     a, t = group.free_rank, len(group.torsion)
     free_solutions = []
@@ -258,7 +258,7 @@ def _degree_endo_candidates(group, pairs, search_bound=2, cap=20000):
             null = la.nullspace(src) if src else tuple(
                 tuple(Fraction(1 if i == j else 0) for j in range(a)) for i in range(a))
             offsets = [()] if not null else itertools.product(
-                range(-search_bound, search_bound + 1), repeat=len(null))
+                range(-_SEARCH_BOUND, _SEARCH_BOUND + 1), repeat=len(null))
             count = 0
             for combo in offsets:
                 cand = []
@@ -275,7 +275,7 @@ def _degree_endo_candidates(group, pairs, search_bound=2, cap=20000):
                 if ok:
                     free_solutions.append(tuple(cand))
                 count += 1
-                if count > cap:
+                if count > _CANDIDATE_CAP:
                     break
     if not free_solutions:
         return
@@ -286,7 +286,7 @@ def _degree_endo_candidates(group, pairs, search_bound=2, cap=20000):
         return
 
     space = group.torsion_order ** (a + t)
-    if space > cap:
+    if space > _CANDIDATE_CAP:
         raise ValueError("torsion search space too large")
     for fm in free_solutions:
         for flat in itertools.product(*(range(group.torsion[i]) for i in range(t) for _ in range(a + t))):

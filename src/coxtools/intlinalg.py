@@ -7,7 +7,7 @@ are the basis vectors, and ``coords . basis == ambient vector``.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def vec(entries):
@@ -46,10 +46,6 @@ def vec_mat(v, a):
 
 def dot(u, v):
     return sum(x * y for x, y in zip(u, v))
-
-
-def vec_add(u, v):
-    return tuple(x + y for x, y in zip(u, v))
 
 
 def vec_sub(u, v):
@@ -228,46 +224,184 @@ def snf(a):
     return mat(s), mat(u), mat(v)
 
 
+# ---------------------------------------------------------------------------
+# Fraction-free elimination of integer and rational matrices.
+# ---------------------------------------------------------------------------
+
+def bareiss(rows, ncols=None):
+    """Fraction-free Gauss-Jordan elimination of an integer matrix (Bareiss).
+
+    ``rows`` is a list of integer lists, reduced in place.  Only the first
+    ``ncols`` columns (default: all) are pivot candidates, which leaves
+    augmented columns as passengers.  A step with pivot p in row r replaces
+    every other row i by (p*row_i - f*row_r) // prev, f being row i's entry
+    in the pivot column and prev the previous pivot (initially 1); the
+    division is exact because every entry is a minor of the input.  Returns
+    ``(rows, pivots, sign)``: the first ``len(pivots)`` rows are the nonzero
+    echelon rows, each with the last pivot d at its pivot column and zeros
+    in the other pivot columns (so row / d is the reduced row echelon form),
+    and ``sign`` is the parity of the row swaps.  For a nonsingular square
+    matrix d * sign is the determinant.
+    """
+    if ncols is None:
+        ncols = len(rows[0]) if rows else 0
+    pivots = []
+    sign = prev = 1
+    r = 0
+    for c in range(ncols):
+        if r == len(rows):
+            break
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            sign = -sign
+        top = rows[r]
+        p = top[c]
+        for i in range(len(rows)):
+            if i != r:
+                f = rows[i][c]
+                rows[i] = [(p * x - f * y) // prev for x, y in zip(rows[i], top)]
+        prev = p
+        pivots.append(c)
+        r += 1
+    return rows, pivots, sign
+
+
+def _int_rows(a):
+    """Rows of an integer or Fraction matrix as integer lists, scaled by the
+    common denominator of all entries (which changes no row space)."""
+    # a set, not a generator: a starred generator builds an argument tuple
+    # as long as the matrix by resizing, and CPython's tuple free list for
+    # that length then keeps it (up to 2000 per length)
+    den = lcm(*{x.denominator for row in a for x in row})
+    return [[int(x * den) for x in row] for row in a]
+
+
 def det_int(a):
     """Determinant of a square integer matrix (Bareiss, exact)."""
     a = mat(a)
     n = len(a)
-    if n == 0:
-        return 1
     if any(len(r) != n for r in a):
         raise ValueError("determinant of a non-square matrix")
-    m = [list(r) for r in a]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    rows, pivots, sign = bareiss([list(r) for r in a])
+    if len(pivots) < n:
+        return 0
+    return sign * rows[-1][-1] if n else 1
+
+
+def adjugate(a):
+    """(d, m) with m / d == a^-1 for a nonsingular square integer or
+    Fraction matrix ``a``; for an integer matrix d is the determinant and m
+    the adjugate.  Raises ValueError for a singular matrix."""
+    n = len(a)
+    rows, pivots, sign = bareiss(_int_rows(
+        [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(a)]), n)
+    if len(pivots) < n:
+        raise ValueError("singular matrix")
+    d = sign * rows[-1][n - 1] if n else 1
+    return d, tuple(tuple(sign * x for x in row[n:]) for row in rows)
+
+
+def rank(a):
+    return len(bareiss(_int_rows(a))[1])
+
+
+def solve(a, b):
+    """One exact solution x of a.x == b over the rationals, or None.
+
+    ``a`` is an m x n integer or Fraction matrix, ``b`` a length-m vector.
+    If the system is underdetermined an arbitrary (but deterministic)
+    solution is returned; if inconsistent, None.
+    """
+    if not a:
+        return () if is_zero_vec(tuple(b)) else None
+    n = len(a[0])
+    rows, pivots, _ = bareiss(_int_rows([[*row, b[i]] for i, row in enumerate(a)]), n)
+    if any(row[n] for row in rows[len(pivots):]):
+        return None
+    x = [Fraction(0)] * n
+    for row, c in zip(rows, pivots):
+        x[c] = Fraction(row[n], row[c])
+    return tuple(x)
+
+
+def nullspace(a):
+    """Basis (tuple of Fraction tuples) of the right kernel of a."""
+    if not a:
+        return ()
+    n = len(a[0])
+    rows, pivots, _ = bareiss(_int_rows(a))
+    basis = []
+    for fc in range(n):
+        if fc in pivots:
+            continue
+        v = [Fraction(0)] * n
+        v[fc] = Fraction(1)
+        for row, c in zip(rows, pivots):
+            v[c] = Fraction(-row[fc], row[c])
+        basis.append(tuple(v))
+    return tuple(basis)
+
+
+def inverse_frac(a):
+    """Exact inverse of a square matrix as Fraction rows."""
+    d, m = adjugate(a)
+    return tuple(tuple(Fraction(x, d) for x in row) for row in m)
+
+
+def inverse_int(a):
+    """Inverse of a unimodular integer matrix, as integers."""
+    d, m = adjugate(a)
+    if abs(d) != 1:
+        raise ValueError("matrix is not unimodular")
+    return tuple(tuple(d * x for x in row) for row in m)
+
+
+def lattice_coords(basis, v):
+    """Integer coordinates c with c.basis == v, or None.
+
+    ``basis`` rows must be linearly independent.
+    """
+    if not basis:
+        return () if is_zero_vec(tuple(v)) else None
+    x = solve(transpose(basis), v)
+    if x is None:
+        return None
+    if any(f.denominator != 1 for f in x):
+        return None
+    return tuple(int(f) for f in x)
+
+
+def saturation_basis(a):
+    """Basis rows of the saturation of the row space of ``a``.
+
+    The result spans rowspace_Q(a) and generates ZZ^n intersected with
+    that span (a saturated sublattice).
+    """
+    a = mat(a)
+    s, _u, v = snf(a)
+    r = sum(1 for i in range(min(len(s), len(s[0]))) if s[i][i] != 0)
+    vinv = inverse_int(v)
+    return tuple(vinv[i] for i in range(r))
 
 
 # ---------------------------------------------------------------------------
-# Exact elimination over a field.
+# Exact elimination over a cyclotomic field.
 # ---------------------------------------------------------------------------
 
 def rref(rows, ncols=None):
     """Reduced row echelon form over an exact field.
 
     ``rows`` is a list of row sequences, reduced in place; entries need only
-    truthiness as the zero test, ``1 / x``, ``*`` and ``-``, so the same
-    loop serves Fraction and CycloNum.  Only the first ``ncols`` columns
-    (default: all) are pivot candidates, which leaves augmented columns
-    as passengers.  Returns ``(rows, pivots)``: the first
-    ``len(pivots)`` rows are the nonzero echelon rows, each with a 1 at
-    its pivot column and zeros above and below it.
+    truthiness as the zero test, ``1 / x``, ``*`` and ``-``, so the loop
+    serves CycloNum (integer and rational matrices go to :func:`bareiss`).
+    Only the first ``ncols`` columns (default: all) are pivot candidates,
+    which leaves augmented columns as passengers.  Returns
+    ``(rows, pivots)``: the first ``len(pivots)`` rows are the nonzero
+    echelon rows, each with a 1 at its pivot column and zeros above and
+    below it.
     """
     if ncols is None:
         ncols = len(rows[0]) if rows else 0
@@ -289,104 +423,3 @@ def rref(rows, ncols=None):
         pivots.append(c)
         r += 1
     return rows, pivots
-
-
-def _frac_rows(a):
-    return [[Fraction(x) for x in row] for row in a]
-
-
-def rank(a):
-    return len(rref(_frac_rows(a))[1])
-
-
-def solve(a, b):
-    """One exact solution x of a.x == b over the rationals, or None.
-
-    ``a`` is an m x n integer or Fraction matrix, ``b`` a length-m vector.
-    If the system is underdetermined an arbitrary (but deterministic)
-    solution is returned; if inconsistent, None.
-    """
-    if not a:
-        return () if is_zero_vec(tuple(b)) else None
-    n = len(a[0])
-    rows, pivots = rref([row + [Fraction(b[i])] for i, row in enumerate(_frac_rows(a))], n)
-    if any(row[n] for row in rows[len(pivots):]):
-        return None
-    x = [Fraction(0)] * n
-    for row, c in zip(rows, pivots):
-        x[c] = row[n]
-    return tuple(x)
-
-
-def nullspace(a):
-    """Basis (tuple of Fraction tuples) of the right kernel of a."""
-    if not a:
-        return ()
-    n = len(a[0])
-    rows, pivots = rref(_frac_rows(a))
-    basis = []
-    for fc in range(n):
-        if fc in pivots:
-            continue
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
-        for row, c in zip(rows, pivots):
-            v[c] = -row[fc]
-        basis.append(tuple(v))
-    return tuple(basis)
-
-
-def inverse_frac(a):
-    """Exact inverse of a square matrix as Fraction rows."""
-    n = len(a)
-    rows, pivots = rref([row + [Fraction(1 if i == j else 0) for j in range(n)]
-                         for i, row in enumerate(_frac_rows(a))], n)
-    if len(pivots) < n:
-        raise ValueError("singular matrix")
-    return tuple(tuple(row[n:]) for row in rows)
-
-
-def inverse_int(a):
-    """Inverse of a unimodular integer matrix, as integers."""
-    inv = inverse_frac(a)
-    out = []
-    for row in inv:
-        if any(x.denominator != 1 for x in row):
-            raise ValueError("matrix is not unimodular")
-        out.append(tuple(int(x) for x in row))
-    return tuple(out)
-
-
-def lattice_coords(basis, v):
-    """Integer coordinates c with c.basis == v, or None.
-
-    ``basis`` rows must be linearly independent.
-    """
-    if not basis:
-        return () if is_zero_vec(tuple(v)) else None
-    x = solve(transpose(basis), v)
-    if x is None:
-        return None
-    if any(f.denominator != 1 for f in x):
-        return None
-    return tuple(int(f) for f in x)
-
-
-def rational_coords(basis, v):
-    """Fraction coordinates c with c.basis == v, or None if v is off-span."""
-    if not basis:
-        return () if is_zero_vec(tuple(v)) else None
-    return solve(transpose(basis), v)
-
-
-def saturation_basis(a):
-    """Basis rows of the saturation of the row space of ``a``.
-
-    The result spans rowspace_Q(a) and generates ZZ^n intersected with
-    that span (a saturated sublattice).
-    """
-    a = mat(a)
-    s, _u, v = snf(a)
-    r = sum(1 for i in range(min(len(s), len(s[0]))) if s[i][i] != 0)
-    vinv = inverse_int(v)
-    return tuple(vinv[i] for i in range(r))

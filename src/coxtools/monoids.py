@@ -22,9 +22,10 @@ reported witnesses are reproducible.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from . import intlinalg as la
-from .cones import Cone, NonPointedError, hilbert_basis
+from .cones import Cone, NonPointedError, _inside, hilbert_basis
 
 DEFAULT_DEPTH = 8
 
@@ -73,39 +74,21 @@ class AffineMonoid:
         self.cone = Cone(self.ambient_rank, gens, lattice=basis)
         if not self.cone.pointed:
             raise NonPointedError("monoid has nontrivial units (cone is not pointed)")
-
-    @property
-    def group_rank(self):
-        return len(self.group_basis)
+        self._gen_coords = tuple(la.lattice_coords(self.cone.span_basis, g) for g in gens)
 
     def contains(self, v):
         """Exact membership: is v a nonnegative integer combination of
         the generators?  Decided by depth-first search pruned by cone
         membership; the strictly positive facet-sum functional bounds
         the recursion."""
-        v = la.vec(v)
-        coords = la.rational_coords(self.cone.span_basis, v)
-        if coords is None or any(c.denominator != 1 for c in coords):
-            return False
-        target = tuple(int(c) for c in coords)
+        target = la.lattice_coords(self.cone.span_basis, la.vec(v))
         dual = self.cone.facet_normals()
 
         # termination: subtracting a generator strictly decreases the sum
         # of all facet values, which stays nonnegative inside the cone
-        def in_cone(x):
-            return all(la.dot(d, x) >= 0 for d in dual)
-
-        return in_cone(target) and _represents(
-            target, self.cone_coords_of_generators(), in_cone)
-
-    def cone_coords_of_generators(self):
-        out = []
-        for g in self.generators:
-            c = la.lattice_coords(self.cone.span_basis, g)
-            if c is None:
-                raise AssertionError("generator fell outside its span lattice")
-            out.append(c)
-        return tuple(out)
+        in_cone = partial(_inside, dual)
+        return target is not None and in_cone(target) and _represents(
+            target, self._gen_coords, in_cone)
 
 
 def _represents(t, vectors, inside):
@@ -190,10 +173,8 @@ class DivisorTheory:
     def preimage(self, d):
         """The group element mapping to d, or None (the embedding is
         injective on the group, so a preimage is unique)."""
-        sol = la.solve(self.functionals, d)
-        if sol is None or any(x.denominator != 1 for x in sol):
-            return None
-        return la.vec_mat(tuple(int(x) for x in sol), self.lattice_basis)
+        sol = la.lattice_coords(la.transpose(self.functionals), d)
+        return None if sol is None else la.vec_mat(sol, self.lattice_basis)
 
     def class_group(self):
         """Invariant factors of (free monoid group) / (monoid group):

@@ -171,6 +171,10 @@ SHEAR = {"variable": "y1", "f": "y2", "h": "y2*y3", "k": 1}
     ("shear-family", dict(SHEAR, h=3)),
     ("compose", {"num_vars": 1, "var_names": [1], "maps": [["y1"]]}),
     ("compose", {"num_vars": 1, "maps": ["y1"]}),
+    ("compose", {"num_vars": 2, "maps": [["y1", "y2", "y1"]]}),
+    ("compose", {"num_vars": 1, "maps": []}),
+    ("compose", {"num_vars": 0, "maps": [[]]}),
+    ("jacobian", {"images": []}),
     ("jacobian", {"images": "y1"}),
     ("jacobian", {"images": [None, "y1"]}),
     ("verify-lift", {"cone": {"ambient_rank": 2, "rays": [[1, 0], [0, 1]]},

@@ -155,7 +155,7 @@ def test_parallelepiped_points_match_snf_reference():
             if det == 0 or abs(det) > 400:
                 continue
             signs.add(det > 0)
-            points = _parallelepiped_points(rows, det)
+            points = _parallelepiped_points(rows)
             assert len(points) == len(set(points)) == abs(det) - 1
             assert set(points) == set(_reference_parallelepiped_points(rows))
             done += 1

@@ -135,6 +135,52 @@ def test_inverse_frac_matches_sympy():
                                           for i in range(m.rows)]
 
 
+def test_det_int_matches_sympy():
+    squares = [a for a in _random_matrices(6, count=200) if len(a) == len(a[0])]
+    assert any(sympy.Matrix(a).det() == 0 for a in squares)
+    for a in squares:
+        assert la.det_int(a) == sympy.Matrix(a).det()
+    assert la.det_int(()) == 1
+
+
+def test_adjugate_matches_sympy():
+    """m / d is the inverse, and for integer input (d, m) is (det, adj)."""
+    for a in _random_matrices(7, count=200):
+        if len(a) != len(a[0]):
+            continue
+        m = sympy.Matrix(a)
+        if m.det() == 0:
+            with pytest.raises(ValueError):
+                la.adjugate(a)
+            continue
+        d, adj = la.adjugate(a)
+        assert d == m.det() and [list(r) for r in adj] == m.adjugate().tolist()
+        assert [[Fraction(x, d) for x in r] for r in adj] == \
+            [[_frac(x) for x in m.inv().row(i)] for i in range(m.rows)]
+    d, adj = la.adjugate([[Fraction(1, 2), 1], [0, Fraction(2, 3)]])
+    assert [[Fraction(x, d) for x in r] for r in adj] == [[2, -3], [0, Fraction(3, 2)]]
+
+
+def test_lattice_coords_on_and_off_the_lattice():
+    rng = random.Random(8)
+    off_span = 0
+    for a in _random_matrices(8):
+        if la.rank(a) < len(a):
+            continue
+        c = tuple(rng.randint(-3, 3) for _ in a)
+        v = la.vec_mat(c, a)
+        assert la.lattice_coords(a, v) == c
+        # 2v + a_0 over the basis 2a has the coordinate c_0 + 1/2
+        doubled = [[2 * x for x in row] for row in a]
+        assert la.lattice_coords(doubled, tuple(2 * x + y for x, y in zip(v, a[0]))) is None
+        for j in range(len(a[0])):
+            e = tuple(int(i == j) for i in range(len(a[0])))
+            if la.rank(a + [list(e)]) > len(a):
+                assert la.lattice_coords(a, e) is None
+                off_span += 1
+    assert off_span
+
+
 def test_rref_over_cyclotomic_field_has_known_rank():
     """L * B * C * U over QQ(zeta_5), where B = [I_r; X] and C = [I_r | Y]
     have rank r and L, U are unitriangular, so the product has rank r."""

@@ -225,6 +225,18 @@ def test_monoid_contains_matches_brute_force():
         assert m.contains(v) == (v in sums), v
 
 
+def test_contains_solves_only_the_target(monkeypatch):
+    """The generators' span coordinates are computed once per monoid: each
+    membership query does one ``lattice_coords`` solve, for the query."""
+    from coxtools import intlinalg as la
+    m = AffineMonoid(3, [(3, 0, 1), (0, 2, 1), (1, 1, 1), (2, 1, 0)])
+    solve, calls = la.lattice_coords, []
+    monkeypatch.setattr(la, "lattice_coords", lambda *a: calls.append(a) or solve(*a))
+    queries = [(3, 0, 1), (4, 1, 2), (1, 0, 0), (5, 5, 5), (0, 0, 1)]
+    assert [m.contains(v) for v in queries * 2] == [True, True, False, True, False] * 2
+    assert [a[1] for a in calls] == queries * 2
+
+
 # (ambient, tau, alpha) in enumeration order for 10, 14, 15, 21 at depth 6,
 # with alpha sending each generator g to (g, 1)
 ELEMENTS_10_14_15_21 = [

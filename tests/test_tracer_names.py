@@ -1,0 +1,42 @@
+"""The benchmark's tracer wraps library functions by name; a refactor that
+drops or renames one should fail here, not in a traced benchmark run."""
+
+import importlib
+import importlib.util
+import itertools
+from pathlib import Path
+
+from coxtools import intlinalg as la
+from coxtools.cones import Cone, hilbert_basis
+
+TRACING = Path(__file__).resolve().parent.parent / "coxbench" / "tracing.py"
+
+
+def _tracing():
+    spec = importlib.util.spec_from_file_location("coxbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_names_resolve():
+    tracing = _tracing()
+    missing = []
+    for module, attr, _name in tracing.SPANS + tracing.COUNTS:
+        namespace = vars(importlib.import_module(f"coxtools.{module}"))
+        cls_name, _, name = attr.rpartition(".")
+        if cls_name:  # the tracer looks a method up in its class's own dict
+            namespace = vars(namespace.get(cls_name, object))
+        if not callable(namespace.get(name)):
+            missing.append(f"{module}.{attr}")
+    assert missing == []
+
+
+def test_hilbert_basis_takes_one_determinant_per_subset(monkeypatch):
+    """The tracer's subsets-per-call count is the number of ``det_int``
+    calls made inside ``hilbert_basis``."""
+    cone = Cone(3, [(1, a, a * a) for a in range(6)])
+    det, calls = la.det_int, []
+    monkeypatch.setattr(la, "det_int", lambda rows: calls.append(rows) or det(rows))
+    hilbert_basis(cone)
+    assert calls == list(itertools.combinations(cone._coords, 3))
