@@ -421,8 +421,8 @@ def cmd_quotient_report(doc, args):
 
 def cmd_reynolds(doc, args):
     conductor, gens = _decode_group(_require(doc, "group"))
+    degree = _at_least(_as_int(_require(doc, "degree")), 1, "degree")
     group = close_group(gens, conductor=conductor, cap=_cap(args))
-    degree = _as_int(_require(doc, "degree"))
     basis = reynolds_invariants(group, degree)
     names = [f"x{i + 1}" for i in range(group.dim)]
     return {

@@ -7,6 +7,9 @@ is computed by recursively dividing x^n - 1 by the lower-order factors.
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
+
+from . import intlinalg as la
 
 
 def euler_phi(n):
@@ -113,19 +116,21 @@ class CycloNum:
     __rmul__ = __mul__
 
     def inverse(self):
-        """Multiplicative inverse via the extended Euclidean algorithm."""
+        """Multiplicative inverse: a*x == 1 as one fraction-free elimination
+        over the integers, column j of the system being a*zeta^j."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.conductor)]
-        r0, r1 = phi, list(self.coeffs)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while any(r1):
-            q, r = _frac_poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _frac_poly_sub(s0, _frac_poly_mul(q, s1))
-        lead = next(c for c in reversed(r0) if c)
-        inv = [c / lead for c in s0]
-        return CycloNum(self.conductor, inv)
+        deg = len(self.coeffs)
+        # a positive first coefficient keeps 1 - zeta^k's pivots at 1 (sparse)
+        den = lcm(*{c.denominator for c in self.coeffs})
+        if next(c for c in self.coeffs if c) < 0:
+            den = -den
+        num = [int(c * den) for c in self.coeffs]
+        cols = [_reduce([0] * j + num, self.conductor) for j in range(deg)]
+        rows = la.bareiss([[*row, int(i == 0)] for i, row in enumerate(zip(*cols))], deg)[0]
+        # num * y == 1 with x == den * y; row i holds the pivot d at column i
+        return CycloNum(self.conductor, [Fraction(den * row[deg], row[i])
+                                         for i, row in enumerate(rows)])
 
     def __truediv__(self, other):
         return self * self._check(other).inverse()
@@ -191,37 +196,3 @@ def _reduce(coeffs, n):
                 cs[i - deg + j] -= c * phi[j]
     return cs[:deg]
 
-
-def _frac_poly_divmod(num, den):
-    num = list(num)
-    dlead = len(den) - 1
-    while dlead > 0 and den[dlead] == 0:
-        dlead -= 1
-    q = [Fraction(0)] * max(1, len(num) - dlead)
-    for i in range(len(num) - 1, dlead - 1, -1):
-        if num[i] == 0:
-            continue
-        f = num[i] / den[dlead]
-        q[i - dlead] = f
-        for j in range(dlead + 1):
-            num[i - dlead + j] -= f * den[j]
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    return q, num
-
-
-def _frac_poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _frac_poly_sub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]

@@ -260,8 +260,8 @@ def bareiss(rows, ncols=None):
         top = rows[r]
         p = top[c]
         for i in range(len(rows)):
-            if i != r:
-                f = rows[i][c]
+            f = rows[i][c]
+            if i != r and (f or p != prev):  # otherwise the step leaves row i as it is
                 rows[i] = [(p * x - f * y) // prev for x, y in zip(rows[i], top)]
         prev = p
         pivots.append(c)
@@ -401,7 +401,8 @@ def rref(rows, ncols=None):
     which leaves augmented columns as passengers.  Returns
     ``(rows, pivots)``: the first ``len(pivots)`` rows are the nonzero
     echelon rows, each with a 1 at its pivot column and zeros above and
-    below it.
+    below it.  Zero entries are passed over in the row updates, which keeps
+    sparse systems (such as invariant-form equations) cheap.
     """
     if ncols is None:
         ncols = len(rows[0]) if rows else 0
@@ -415,11 +416,11 @@ def rref(rows, ncols=None):
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
         inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
+        rows[r] = [x * inv if x else x for x in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][c]:
                 f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+                rows[i] = [x - f * y if y else x for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
     return rows, pivots

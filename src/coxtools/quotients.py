@@ -8,8 +8,8 @@ abelianization (via a Smith normal form of its Schreier relations).  The
 quotient space of the original linear action is toric exactly when the
 quotient group by the reflections is abelian.
 
-A Reynolds operator (averaging) computes exact bases of invariant forms
-degree by degree.
+Exact bases of invariant forms, degree by degree, are the generators'
+common fixed space (the image of the Reynolds operator).
 """
 
 import math
@@ -69,10 +69,6 @@ def c_mul(a, b):
     return tuple(out)
 
 
-def c_sub(a, b):
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
 # -- group closure ------------------------------------------------------------
 
 class MatGroup:
@@ -98,9 +94,6 @@ class MatGroup:
     @property
     def order(self):
         return len(self.elements)
-
-    def identity(self):
-        return c_identity(self.conductor, self.dim)
 
     def index_of(self, m):
         return self._index[m]
@@ -159,9 +152,21 @@ def _closure(ident, gens, mul, cap=None):
 
 
 def pseudoreflections(group):
-    """Elements fixing a hyperplane pointwise: rank(A - I) == 1, exactly."""
-    ident = group.identity()
-    return tuple(a for a in group.elements if len(la.rref(list(c_sub(a, ident)))[1]) == 1)
+    """Elements fixing a hyperplane pointwise: rank(A - I) == 1, exactly.
+
+    With b = A - I and b[p][q] its first nonzero entry, the rank is 1
+    exactly when every 2x2 minor of b through (p, q) vanishes, i.e. every
+    row is a multiple of row p; no elimination is needed.
+    """
+    one = CycloNum.rational(group.conductor, 1)
+    out = []
+    for a in group.elements:
+        b = [[x - one if i == j else x for j, x in enumerate(row)] for i, row in enumerate(a)]
+        p, q = next(((i, j) for i, row in enumerate(b) for j, x in enumerate(row) if x), (0, 0))
+        if b[p][q] and all(x * b[p][q] == row[q] * b[p][j]
+                           for row in b[p + 1:] for j, x in enumerate(row)):
+            out.append(a)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -235,7 +240,7 @@ def quotient_report(group):
         is_toric=f_abelian)
 
 
-# -- Reynolds averaging --------------------------------------------------------
+# -- invariant forms --------------------------------------------------------
 
 def _apply_matrix_to_monomial(group, a, expo):
     """Image of x^expo under x_j -> sum_i a[j][i] x_i, as an exponent dict."""
@@ -259,37 +264,38 @@ def _apply_matrix_to_monomial(group, a, expo):
 def reynolds_invariants(group, degree):
     """Exact basis of the degree-d invariant forms of the linear action.
 
-    Averages every degree-d monomial over the group and row-reduces the
-    results over the cyclotomic field; the echelon rows (leading
-    coefficient 1) form the returned basis, each a dict from exponent
-    tuples to CycloNum coefficients.
+    A form is invariant exactly when every generator fixes it, so the
+    invariants are the common kernel of S^d(g) - I over the generators
+    (the image of the Reynolds operator).  One elimination of the stacked
+    equations gives a kernel basis; its reduced row echelon form over the
+    cyclotomic field (leading coefficient 1) is the returned basis, each
+    form a dict from exponent tuples to CycloNum coefficients.
     """
     degree = int(degree)
     if degree < 1:
         raise ValueError("degree must be at least 1")
     monos = tuple(la.compositions(degree, group.dim))
     index = {m: i for i, m in enumerate(monos)}
-    conductor = group.conductor
-    scale = CycloNum.rational(conductor, 1) / CycloNum.rational(conductor, group.order)
-    zero = CycloNum(conductor)
+    one, zero = CycloNum.rational(group.conductor, 1), CycloNum(group.conductor)
 
-    vectors = []
-    for m in monos:
-        acc = {}
-        for a in group.elements:
-            for mono, coeff in _apply_matrix_to_monomial(group, a, m).items():
-                cur = acc.get(mono)
-                acc[mono] = coeff if cur is None else cur + coeff
-        row = [zero] * len(monos)
-        for mono, coeff in acc.items():
-            val = coeff * scale
-            if not val.is_zero():
-                row[index[mono]] = val
-        vectors.append(row)
+    # row t of generator g: sum_m c_m * ([x^t] g.x^m - [m == t]) == 0
+    equations = []
+    for g in group.generators:
+        block = [[zero] * len(monos) for _ in monos]
+        for col, m in enumerate(monos):
+            for t, coeff in _apply_matrix_to_monomial(group, g, m).items():
+                block[index[t]][col] = coeff
+            block[col][col] -= one
+        equations += [row for row in block if any(row)]
 
-    vectors, pivots = la.rref(vectors)
-    return [{monos[j]: v for j, v in enumerate(row) if v}
-            for row in vectors[:len(pivots)]]
+    rows, pivots = la.rref(equations, len(monos))
+    solved = dict(zip(pivots, rows))
+    # free column f spans the kernel vector with 1 at f and -row[f] at each
+    # pivot column; these are not echelon rows, so reduce them once more
+    kernel = [[-solved[c][f] if c in solved else one if c == f else zero
+               for c in range(len(monos))] for f in range(len(monos)) if f not in solved]
+    kernel, pivots = la.rref(kernel, len(monos))
+    return [{monos[j]: v for j, v in enumerate(row) if v} for row in kernel[:len(pivots)]]
 
 
 def symmetric_power_trace_dimension(group, degree):

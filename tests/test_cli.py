@@ -42,7 +42,7 @@ def test_fixture_matches_expected(path):
     assert {"name", "command", "source", "payload", "expected"} <= set(doc)
     code, out = run_cli([doc["command"], str(path)])
     assert code == 0
-    assert json.loads(out) == doc["expected"]
+    assert out == json.dumps(doc["expected"], sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def test_fixture_generator_table_matches_corpus():
@@ -215,6 +215,17 @@ def test_negative_payload_depth_exit_2(tmp_path, command, fixture):
     p = tmp_path / "depth.json"
     p.write_text(json.dumps(dict(payload, depth=-1)))
     _assert_malformed(*run_cli([command, str(p)]))
+
+
+@pytest.mark.parametrize("degree,flags", [(0, []), (-1, []), ("2x", ["--cap", "1"])],
+                         ids=["0", "-1", "2x-cap-1"])
+def test_bad_reynolds_degree_exit_2(tmp_path, degree, flags):
+    """The degree is decoded before the group is closed: a bad one is
+    malformed input even when the closure would stop at the cap."""
+    payload = json.loads((FIXTURE_DIR / "reynolds-plus-minus.json").read_text())["payload"]
+    p = tmp_path / "degree.json"
+    p.write_text(json.dumps(dict(payload, degree=degree)))
+    _assert_malformed(*run_cli(["reynolds", str(p), *flags]))
 
 
 def test_zero_bounds_are_taken_literally():

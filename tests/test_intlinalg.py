@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from sympy.matrices.normalforms import smith_normal_form
 
 from coxtools import intlinalg as la
 from coxtools.cyclotomic import CycloNum
@@ -159,6 +160,17 @@ def test_adjugate_matches_sympy():
             [[_frac(x) for x in m.inv().row(i)] for i in range(m.rows)]
     d, adj = la.adjugate([[Fraction(1, 2), 1], [0, Fraction(2, 3)]])
     assert [[Fraction(x, d) for x in r] for r in adj] == [[2, -3], [0, Fraction(3, 2)]]
+
+
+def test_snf_matches_sympy():
+    """The invariant factors agree with sympy's Smith form, and U.a.V == S
+    with U, V unimodular (hnf is left out: sympy's uses another convention)."""
+    for a in _random_matrices(9, count=120):
+        s, u, v = la.snf(a)
+        ref = smith_normal_form(sympy.Matrix(a))
+        assert [[s[i][j] for j in range(len(a[0]))] for i in range(len(a))] == ref.tolist()
+        assert la.mat_mul(la.mat_mul(u, a), v) == s
+        assert abs(la.det_int(u)) == abs(la.det_int(v)) == 1
 
 
 def test_lattice_coords_on_and_off_the_lattice():

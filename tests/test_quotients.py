@@ -1,5 +1,6 @@
 import functools
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,9 +8,9 @@ import pytest
 from coxtools import intlinalg as la
 from coxtools import quotients
 from coxtools.cyclotomic import CycloNum, cyclotomic_polynomial, euler_phi
-from coxtools.quotients import (ClosureCapExceededError, NotInvertibleError, QuotientReport,
-                                c_mul, close_group, pseudoreflections, quotient_report,
-                                reynolds_invariants,
+from coxtools.quotients import (ClosureCapExceededError, MatGroup, NotInvertibleError,
+                                QuotientReport, _apply_matrix_to_monomial, c_mul, close_group,
+                                pseudoreflections, quotient_report, reynolds_invariants,
                                 symmetric_power_trace_dimension)
 
 
@@ -61,6 +62,21 @@ def test_cyclonum_zero_test_and_reciprocal(monkeypatch):
         calls.clear()
         assert 1 / x == inverse(x)
         assert len(calls) == 1
+
+
+def test_inverse_of_random_elements():
+    """x * x.inverse() is one for seeded rational-coefficient elements of
+    every conductor 1..30 (phi(1) == phi(2) == 1)."""
+    rng = random.Random(11)
+    checked = 0
+    for n in range(1, 31):
+        for _ in range(11):
+            x = CycloNum(n, [Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+                             if rng.random() < 0.7 else 0 for _ in range(euler_phi(n))])
+            if x:
+                assert (x * x.inverse()).is_one()
+                checked += 1
+    assert checked >= 300
 
 
 def _power(z, k):
@@ -188,6 +204,22 @@ def _binary_dihedral(n):
     zero, one = CycloNum(n), CycloNum.rational(n, 1)
     return close_group([[[z, zero], [zero, z.inverse()]], [[zero, one], [-one, zero]]],
                        conductor=n)
+
+
+def _reference_pseudoreflections(group):
+    """The elimination test: rank(A - I) == 1 by row reduction."""
+    one = CycloNum.rational(group.conductor, 1)
+    return [i for i, a in enumerate(group.elements)
+            if len(la.rref([[x - one if r == c else x for c, x in enumerate(row)]
+                            for r, row in enumerate(a)])[1]) == 1]
+
+
+def test_pseudoreflections_match_elimination_reference(monkeypatch):
+    groups = _test_groups() + [_binary_dihedral(n) for n in range(3, 9)]
+    expected = [_reference_pseudoreflections(g) for g in groups]
+    monkeypatch.setattr(la, "rref", None)  # the minor test needs no elimination
+    for g, want in zip(groups, expected):
+        assert [g.index_of(a) for a in pseudoreflections(g)] == want
 
 
 def _diagonal_3gen():
@@ -403,6 +435,68 @@ def test_invariants_multiply_to_quotient_order():
 
 # -- Reynolds invariants ----------------------------------------------------------------
 
+def _reference_reynolds(group, degree):
+    """The Reynolds operator by averaging every degree-d monomial over all
+    of G, then the reduced row echelon basis of the averages."""
+    monos = tuple(la.compositions(degree, group.dim))
+    index = {m: i for i, m in enumerate(monos)}
+    conductor = group.conductor
+    scale = CycloNum.rational(conductor, 1) / CycloNum.rational(conductor, group.order)
+    zero = CycloNum(conductor)
+
+    vectors = []
+    for m in monos:
+        acc = {}
+        for a in group.elements:
+            for mono, coeff in _apply_matrix_to_monomial(group, a, m).items():
+                cur = acc.get(mono)
+                acc[mono] = coeff if cur is None else cur + coeff
+        row = [zero] * len(monos)
+        for mono, coeff in acc.items():
+            val = coeff * scale
+            if not val.is_zero():
+                row[index[mono]] = val
+        vectors.append(row)
+
+    vectors, pivots = la.rref(vectors)
+    return [{monos[j]: v for j, v in enumerate(row) if v}
+            for row in vectors[:len(pivots)]]
+
+
+def _permutation_group(n, perms):
+    return close_group([[[int(p[r] == c) for c in range(n)] for r in range(n)] for p in perms])
+
+
+def _reynolds_oracle_cases():
+    """(group, degrees) pairs for the comparison with the averaging reference."""
+    z3, z5 = CycloNum.zeta(3), CycloNum.zeta(5)
+    zero3, zero5 = CycloNum(3), CycloNum(5)
+    cases = [(_gmp(m, p), range(1, 5)) for m in range(1, 9) for p in range(1, m + 1)
+             if m % p == 0]
+    cases += [(_binary_dihedral(n), range(1, 5)) for n in range(3, 7)]
+    cases.append((_permutation_group(3, [(1, 0, 2), (1, 2, 0)]), range(1, 7)))
+    cases.append((close_group([[[z3 if r == c else zero3 for c in range(3)] for r in range(3)]],
+                              conductor=3), range(1, 7)))
+    cases.append((close_group([[[z5 * z5 * z5, zero5, zero5], [zero5, z5, zero5],
+                                [zero5, zero5, z5.inverse()]]], conductor=5), range(1, 6)))
+    return cases
+
+
+def test_reynolds_matches_averaging_reference():
+    for group, degrees in _reynolds_oracle_cases():
+        for d in degrees:
+            assert reynolds_invariants(group, d) == _reference_reynolds(group, d)
+
+
+def test_reynolds_reads_only_the_generators():
+    """The invariant forms are the generators' common fixed space: a group
+    object holding the generators and no element list gives the same basis."""
+    g = _binary_dihedral(4)
+    bare = MatGroup(g.dim, g.conductor, g.generators, (), (), ())
+    for d in (2, 4):
+        assert reynolds_invariants(bare, d) == reynolds_invariants(g, d)
+
+
 def test_reynolds_plus_minus_identity():
     pm = close_group([[[-1, 0], [0, -1]]], conductor=1)
     assert len(reynolds_invariants(pm, 2)) == 3
@@ -425,8 +519,7 @@ def test_reynolds_cube_root_weights():
 
 
 def test_reynolds_invariance_under_action():
-    """Averaged forms really are fixed by every group element."""
-    from coxtools.quotients import _apply_matrix_to_monomial
+    """The invariant forms really are fixed by every group element."""
     g = _q8()
     for form in reynolds_invariants(g, 2):
         for a in g.elements:
