@@ -11,18 +11,18 @@ from math import gcd, lcm
 
 
 def vec(entries):
-    return tuple(int(e) for e in entries)
+    return tuple([int(e) for e in entries])
 
 
 def mat(rows):
-    out = tuple(tuple(int(e) for e in r) for r in rows)
+    out = tuple([tuple([int(e) for e in r]) for r in rows])
     if out and any(len(r) != len(out[0]) for r in out):
         raise ValueError("ragged matrix")
     return out
 
 
 def identity(n):
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+    return tuple([tuple([1 if i == j else 0 for j in range(n)]) for i in range(n)])
 
 
 def transpose(a):
@@ -31,17 +31,19 @@ def transpose(a):
 
 def mat_mul(a, b):
     bt = transpose(b)
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+    return tuple([tuple([sum(x * y for x, y in zip(row, col)) for col in bt]) for row in a])
 
 
 def mat_vec(a, v):
     """Matrix times column vector."""
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+    return tuple([sum(x * y for x, y in zip(row, v)) for row in a])
 
 
 def vec_mat(v, a):
     """Row vector times matrix."""
-    return tuple(sum(v[i] * a[i][j] for i in range(len(v))) for j in range(len(a[0]))) if a else ()
+    if not a:
+        return ()
+    return tuple([sum(v[i] * a[i][j] for i in range(len(v))) for j in range(len(a[0]))])
 
 
 def dot(u, v):
@@ -49,11 +51,11 @@ def dot(u, v):
 
 
 def vec_sub(u, v):
-    return tuple(x - y for x, y in zip(u, v))
+    return tuple([x - y for x, y in zip(u, v)])
 
 
 def vec_scale(u, c):
-    return tuple(c * x for x in u)
+    return tuple([c * x for x in u])
 
 
 def vec_gcd(v):
@@ -66,7 +68,7 @@ def vec_gcd(v):
 def primitive(v):
     """Divide out the content; the zero vector is returned unchanged."""
     g = vec_gcd(v)
-    return v if g in (0, 1) else tuple(x // g for x in v)
+    return v if g in (0, 1) else tuple([x // g for x in v])
 
 
 def is_zero_vec(v):
@@ -301,7 +303,7 @@ def adjugate(a):
     if len(pivots) < n:
         raise ValueError("singular matrix")
     d = sign * rows[-1][n - 1] if n else 1
-    return d, tuple(tuple(sign * x for x in row[n:]) for row in rows)
+    return d, tuple([tuple([sign * x for x in row[n:]]) for row in rows])
 
 
 def rank(a):
@@ -348,7 +350,7 @@ def nullspace(a):
 def inverse_frac(a):
     """Exact inverse of a square matrix as Fraction rows."""
     d, m = adjugate(a)
-    return tuple(tuple(Fraction(x, d) for x in row) for row in m)
+    return tuple([tuple([Fraction(x, d) for x in row]) for row in m])
 
 
 def inverse_int(a):
@@ -356,7 +358,7 @@ def inverse_int(a):
     d, m = adjugate(a)
     if abs(d) != 1:
         raise ValueError("matrix is not unimodular")
-    return tuple(tuple(d * x for x in row) for row in m)
+    return tuple([tuple([d * x for x in row]) for row in m])
 
 
 def lattice_coords(basis, v):
@@ -371,7 +373,7 @@ def lattice_coords(basis, v):
         return None
     if any(f.denominator != 1 for f in x):
         return None
-    return tuple(int(f) for f in x)
+    return tuple([int(f) for f in x])
 
 
 def saturation_basis(a):
@@ -384,7 +386,7 @@ def saturation_basis(a):
     s, _u, v = snf(a)
     r = sum(1 for i in range(min(len(s), len(s[0]))) if s[i][i] != 0)
     vinv = inverse_int(v)
-    return tuple(vinv[i] for i in range(r))
+    return vinv[:r]
 
 
 # ---------------------------------------------------------------------------

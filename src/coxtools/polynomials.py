@@ -1,6 +1,20 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
-Terms live in a dict mapping exponent tuples to nonzero Fractions.
+Terms live in a dict mapping exponent tuples to nonzero coefficients:
+an ``int`` when the coefficient is integral and a ``Fraction`` otherwise,
+so integer polynomials multiply and add on Python ints.  Arithmetic may
+leave an integral value as a ``Fraction`` (``2 * Fraction(1, 2)``);
+``3`` and ``Fraction(3)`` compare and hash alike, so equality, hashing
+and ``render`` do not see the difference.  No coefficient is divided
+with ``/`` and none is ever a float.
+
+``Poly(num_vars, terms)`` validates and cleans its input.  The ring
+operations, ``derivative``, ``homogeneous_part``, ``substitute`` and
+``poly_det`` build their results with ``Poly._trusted``, which takes a
+dict that is already clean (every coefficient a nonzero ``int`` or
+``Fraction``, every key a tuple of ``num_vars`` non-negative ints) and
+keeps it as is, without a copy or a check.
+
 Canonical printing and equality use graded lexicographic term order
 (total degree first, then exponents, descending).  Polynomials are
 treated as immutable values: no method mutates ``terms`` after
@@ -36,8 +50,17 @@ class Poly:
             expo = tuple(int(e) for e in expo)
             if len(expo) != self.num_vars or any(e < 0 for e in expo):
                 raise ValueError(f"bad exponent vector {expo}")
-            clean[expo] = c
+            clean[expo] = c.numerator if c.denominator == 1 else c
         self.terms = clean
+
+    @classmethod
+    def _trusted(cls, num_vars, terms):
+        """A Poly holding ``terms`` itself: the dict must already be clean
+        (see the module docstring), and the caller must not touch it again."""
+        p = object.__new__(cls)
+        p.num_vars = num_vars
+        p.terms = terms
+        return p
 
     # -- constructors -------------------------------------------------------
 
@@ -47,19 +70,19 @@ class Poly:
 
     @classmethod
     def constant(cls, num_vars, value):
-        return cls(num_vars, {(0,) * num_vars: Fraction(value)})
+        return cls(num_vars, {(0,) * num_vars: value})
 
     @classmethod
     def variable(cls, num_vars, index):
         if not 0 <= index < num_vars:
             raise ValueError("variable index out of range")
-        expo = tuple(1 if i == index else 0 for i in range(num_vars))
-        return cls(num_vars, {expo: Fraction(1)})
+        expo = tuple([1 if i == index else 0 for i in range(num_vars)])
+        return cls._trusted(num_vars, {expo: 1})
 
     @classmethod
     def monomial(cls, exponents, coeff=1):
         exponents = tuple(int(e) for e in exponents)
-        return cls(len(exponents), {exponents: Fraction(coeff)})
+        return cls(len(exponents), {exponents: coeff})
 
     # -- ring operations ----------------------------------------------------
 
@@ -77,11 +100,11 @@ class Poly:
             if s:
                 terms[e] = s
             else:
-                terms.pop(e, None)
-        return Poly(self.num_vars, terms)
+                del terms[e]
+        return Poly._trusted(self.num_vars, terms)
 
     def __neg__(self):
-        return Poly(self.num_vars, {e: -c for e, c in self.terms.items()})
+        return Poly._trusted(self.num_vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -90,18 +113,22 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Poly(self.num_vars, {e: c * other for e, c in self.terms.items()})
+            if not other:
+                return Poly.zero(self.num_vars)
+            if other.denominator == 1:
+                other = other.numerator
+            return Poly._trusted(self.num_vars, {e: c * other for e, c in self.terms.items()})
         self._check(other)
         terms = {}
+        get = terms.get
+        right = other.terms.items()
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(e, 0) + c1 * c2
-                if s:
-                    terms[e] = s
-                else:
-                    terms.pop(e, None)
-        return Poly(self.num_vars, terms)
+            for e2, c2 in right:
+                e = tuple([a + b for a, b in zip(e1, e2)])
+                terms[e] = get(e, 0) + c1 * c2
+        for e in [e for e, c in terms.items() if not c]:
+            del terms[e]
+        return Poly._trusted(self.num_vars, terms)
 
     __rmul__ = __mul__
     __radd__ = __add__
@@ -115,8 +142,9 @@ class Poly:
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return result
 
     def __eq__(self, other):
@@ -149,16 +177,17 @@ class Poly:
         return sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
 
     def derivative(self, index):
+        # e -> de is one-to-one on the terms with e[index] > 0, so nothing collects
         terms = {}
         for e, c in self.terms.items():
-            if e[index] == 0:
-                continue
-            de = tuple(x - 1 if i == index else x for i, x in enumerate(e))
-            terms[de] = terms.get(de, 0) + c * e[index]
-        return Poly(self.num_vars, terms)
+            k = e[index]
+            if k:
+                terms[e[:index] + (k - 1,) + e[index + 1:]] = c * k
+        return Poly._trusted(self.num_vars, terms)
 
     def homogeneous_part(self, degree):
-        return Poly(self.num_vars, {e: c for e, c in self.terms.items() if sum(e) == degree})
+        return Poly._trusted(self.num_vars,
+                             {e: c for e, c in self.terms.items() if sum(e) == degree})
 
     def render(self, var_names=None):
         """Canonical string; round-trips through parse_poly."""
@@ -237,22 +266,29 @@ def substitute(p, m):
     """Exact simultaneous substitution of m's images into p."""
     if p.num_vars != m.source_vars:
         raise ValueError("polynomial/map variable mismatch")
-    result = Poly.zero(m.target_vars)
-    powers = [{0: Poly.constant(m.target_vars, 1)} for _ in range(m.source_vars)]
-
-    def power(i, k):
-        cache = powers[i]
-        if k not in cache:
-            cache[k] = power(i, k - 1) * m.images[i]
-        return cache[k]
-
+    one = Poly._trusted(m.target_vars, {(0,) * m.target_vars: 1})
+    powers = [[one] for _ in range(m.source_vars)]  # powers[i][k] is images[i]^k
+    terms = {}
     for e, c in p.terms.items():
-        term = Poly.constant(m.target_vars, c)
+        term = None
         for i, k in enumerate(e):
             if k:
-                term = term * power(i, k)
-        result = result + term
-    return result
+                known = powers[i]
+                while len(known) <= k:
+                    known.append(known[-1] * m.images[i])
+                term = known[k] if term is None else term * known[k]
+        _fold(terms, one if term is None else term, c)
+    return Poly._trusted(m.target_vars, terms)
+
+
+def _fold(terms, p, c):
+    """terms += c * p.terms in place, dropping the zeros that appear."""
+    for e, x in p.terms.items():
+        s = terms.get(e, 0) + c * x
+        if s:
+            terms[e] = s
+        else:
+            del terms[e]
 
 
 def compose(f, g):
@@ -300,14 +336,14 @@ def poly_det(matrix):
         if len(rows) == 1:
             result = matrix[rows[0]][cols[0]]
         else:
-            result = Poly.zero(num_vars)
+            terms = {}
             sign = 1
-            for idx, j in enumerate(cols):
+            for j in cols:
                 entry = matrix[rows[0]][j]
-                if not entry.is_zero():
-                    sub = minor(rows[1:], colmask & ~(1 << j))
-                    result = result + sign * (entry * sub)
+                if entry.terms:
+                    _fold(terms, entry * minor(rows[1:], colmask & ~(1 << j)), sign)
                 sign = -sign
+            result = Poly._trusted(num_vars, terms)
         cache[key] = result
         return result
 
@@ -330,11 +366,15 @@ def in_ideal_power(p, var_subset, k):
 
 # ---------------------------------------------------------------------------
 # Recursive descent parser for the fixed grammar:
+#   text     := ('-' term | term) (('+'|'-') term)*
 #   expr     := term (('+'|'-') term)*
 #   term     := factor ('*' factor)*
 #   factor   := base ('^' nat)?
 #   base     := rational | ident | '(' expr ')'
 #   rational := int ('/' nat)?
+# Only at the start of the text does a '-' before a term negate that term
+# (render writes a leading coefficient -1 as "-y1*y2").  A '-' before
+# digits is the sign of an int, so "-2^2" is (-2)^2.
 # Whitespace is insignificant; implicit multiplication is rejected.
 # ---------------------------------------------------------------------------
 
@@ -382,14 +422,19 @@ class _Parser:
         return self.advance()
 
     def parse(self):
-        p = self.expr()
+        p = self.expr(text=True)
         kind, val, at = self.peek()
         if kind != "end":
             raise PolyParseError(f"trailing input '{val}'", at)
         return p
 
-    def expr(self):
-        p = self.term()
+    def expr(self, text=False):
+        lead = self.tokens[self.pos:self.pos + 2]
+        if text and lead[0][1] == "-" and (lead[1][0] == "ident" or lead[1][1] == "("):
+            self.advance()
+            p = -self.term()
+        else:
+            p = self.term()
         while True:
             kind, val, _ = self.peek()
             if kind == "op" and val in "+-":

@@ -228,6 +228,14 @@ def test_bad_reynolds_degree_exit_2(tmp_path, degree, flags):
     _assert_malformed(*run_cli(["reynolds", str(p), *flags]))
 
 
+def test_compose_with_a_power_past_the_recursion_limit(tmp_path):
+    p = tmp_path / "power.json"
+    p.write_text(json.dumps({"num_vars": 1, "maps": [["2*y1"], ["y1^1200"]]}))
+    code, out = run_cli(["compose", str(p)])
+    assert code == 0
+    assert out == json.dumps({"images": [f"{2 ** 1200}*y1^1200"]}, separators=(",", ":")) + "\n"
+
+
 def test_zero_bounds_are_taken_literally():
     code, out = run_cli(["check-axioms", str(FIXTURE_DIR / "check-axioms-4-6-9.json"),
                          "--depth", "0"])

@@ -1,15 +1,24 @@
+import contextlib
+import io
+import json
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
 import sympy
 
+from coxtools.cli import encode, main
+from coxtools.gradings import (elementary_inverse, elementary_linear, elementary_shear,
+                               quadric_grading, verify_inverse)
 from coxtools.polynomials import (NonSquareError, Poly, PolyMap, PolyParseError,
                                   UnknownVariableError, compose, compose_chain,
                                   in_ideal_power, jacobian, parse_map, parse_poly,
                                   poly_det, substitute)
 
 from conftest import XS, YS, TAU_STRS
+
+FIXTURE_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def test_parse_two_term():
@@ -41,9 +50,39 @@ def test_parse_roundtrip():
 def test_parse_errors():
     with pytest.raises(UnknownVariableError):
         parse_poly("z9", YS)
-    for bad in ["y1 y2", "y1*", "2y1", "-y1", "3/0", "(y1", "y1^", "y1^-2"]:
+    for bad in ["y1 y2", "y1*", "2y1", "--y1", "-", "-+y1", "3/0", "(y1", "y1^", "y1^-2",
+                "(-y1)", "y1+-y2", "y1*-y2"]:
         with pytest.raises(PolyParseError):
             parse_poly(bad, YS)
+
+
+def test_leading_minus_negates_the_first_term():
+    y1, y2 = Poly.variable(4, 0), Poly.variable(4, 1)
+    assert parse_poly("-y1", YS) == -y1
+    assert parse_poly("-y1^2*y2 + y2", YS) == y2 - y1 ** 2 * y2
+    assert parse_poly("- (y1 + y2)^2", YS) == -((y1 + y2) ** 2)
+    # before digits the minus is the sign of the number, as it always was
+    assert parse_poly("-2^2", YS) == Poly.constant(4, 4)
+    assert parse_poly("-2*y1", YS) == -2 * y1
+
+
+@pytest.mark.parametrize("lead", [Fraction(-1), Fraction(-5), Fraction(-3, 7)],
+                         ids=["minus_one", "minus_k", "minus_p_over_q"])
+def test_render_parse_roundtrip_with_negative_leading_coefficient(lead):
+    rng = random.Random(f"lead:{lead}")
+    starts = set()
+    for _ in range(60):
+        p = _random_poly(rng, 4, max_terms=6, max_deg=3)
+        if p.is_zero():
+            continue
+        top = p.sorted_terms()[0][0]
+        q = Poly(4, {**p.terms, top: lead})
+        text = q.render(YS)
+        assert text.startswith("-")
+        starts.add(text[1])
+        assert parse_poly(text, YS) == q
+    # only -1 is written as a bare minus before a variable
+    assert ("y" in starts) == (lead == -1)
 
 
 def test_implicit_multiplication_rejected():
@@ -77,6 +116,12 @@ def test_substitute_pullback():
     # x1 evaluated through the monomial dictionary gives a degree-2 monomial
     pull = parse_map(["y1*y3", "y1*y4", "y2*y3", "y2*y4"], XS, YS)
     assert substitute(parse_poly("x1", XS), pull) == parse_poly("y1*y3", YS)
+
+
+def test_substitute_power_past_the_recursion_limit():
+    t = Poly.variable(1, 0)
+    high = Poly.monomial((1500,))
+    assert substitute(high, PolyMap((2 * t,))) == Poly.monomial((1500,), 2 ** 1500)
 
 
 def test_compose_tau_tauinv_is_identity(tau_map, tau_inv_map):
@@ -128,6 +173,25 @@ def test_poly_det_nonsquare():
         poly_det(((Poly.variable(2, 0), Poly.variable(2, 1)),))
 
 
+def test_power_builds_nothing_above_the_result(monkeypatch):
+    p = parse_poly("y1 + 2*y2 - 1", YS)
+    powers = [Poly.constant(4, 1)]
+    while len(powers) < 7:
+        powers.append(powers[-1] * p)
+    degrees, mul = [], Poly.__mul__
+
+    def recording_mul(a, b):
+        product = mul(a, b)
+        degrees.append(product.total_degree())
+        return product
+
+    monkeypatch.setattr(Poly, "__mul__", recording_mul)
+    for k, expected in enumerate(powers):
+        degrees.clear()
+        assert p ** k == expected
+        assert max(degrees, default=0) <= k
+
+
 def test_in_ideal_power():
     p = parse_poly("y1^2*y4 - y1*y2*y3", YS)
     assert in_ideal_power(p, (0, 1), 2)
@@ -172,11 +236,15 @@ def test_substitution_against_sympy_oracle():
     for _ in range(10):
         p = _random_poly(rng, 2)
         images = tuple(_random_poly(rng, 2, max_terms=2, max_deg=2) for _ in range(2))
-        m = PolyMap(images)
-        ours = substitute(p, m)
-        theirs = sympy.expand(_to_sympy(p, syms).subs(
-            [(syms[i], _to_sympy(images[i], syms)) for i in range(2)], simultaneous=True))
-        assert _to_sympy(ours, syms) == theirs
+        # p minus its mirror image, under a map with equal images, cancels to zero
+        mirror = Poly(2, {e[::-1]: c for e, c in p.terms.items()})
+        for q, m in [(p, PolyMap(images)), (p - mirror, PolyMap(images[:1] * 2))]:
+            ours = substitute(q, m)
+            theirs = sympy.expand(_to_sympy(q, syms).subs(
+                [(syms[i], _to_sympy(m.images[i], syms)) for i in range(2)],
+                simultaneous=True))
+            assert _to_sympy(ours, syms) == theirs
+        assert ours.terms == {}
 
 
 def test_jacobian_against_sympy_oracle():
@@ -189,3 +257,106 @@ def test_jacobian_against_sympy_oracle():
         mat = sympy.Matrix([[sympy.diff(_to_sympy(images[i], syms), syms[j])
                              for j in range(2)] for i in range(2)])
         assert _to_sympy(ours, syms) == sympy.expand(mat.det())
+
+
+# -- coefficients and the public constructor ------------------------------------
+
+def test_public_constructor_validates_and_drops_zeros():
+    for bad in [(1,), (1, 0, 0), (1, -1)]:
+        with pytest.raises(ValueError):
+            Poly(2, {bad: 1})
+    p = Poly(2, {(1, 0): 0, (0, 1): Fraction(0), (0, 0): Fraction(6, 3), (2, 0): Fraction(1, 2)})
+    assert p.terms == {(0, 0): 2, (2, 0): Fraction(1, 2)}
+    assert type(p.terms[(0, 0)]) is int
+    assert Poly(2, {(1, 0): 0}).terms == {}
+
+
+def test_total_cancellation_stores_no_zero():
+    p = parse_poly("y1*y2 - 3/2*y3 + 7", YS)
+    for zero in [p + (-p), p - p, p * 0, p * Fraction(0), p * Poly.zero(4), 0 * p]:
+        assert zero.terms == {}
+    # the cross terms of (y1 + y2)(y1 - y2) cancel
+    assert (parse_poly("y1 + y2", YS) * parse_poly("y1 - y2", YS)).terms == {
+        (2, 0, 0, 0): 1, (0, 2, 0, 0): -1}
+    t = Poly.variable(1, 0)
+    assert substitute(parse_poly("y1*y4 - y2*y3", YS), PolyMap((t, t, t, t))).terms == {}
+    y1, y2 = Poly.variable(2, 0), Poly.variable(2, 1)
+    assert poly_det(((y1, y2), (y1, y2))).terms == {}
+
+
+def test_int_and_fraction_coefficients_behave_alike():
+    def doc(p):
+        return [{"coefficient": c, "exponents": list(e)} for e, c in p.sorted_terms()]
+
+    built = [Poly(2, {(1, 0): 3, (0, 0): -1}), Poly(2, {(1, 0): Fraction(3), (0, 0): Fraction(-1)})]
+    assert [type(c) for p in built for c in p.terms.values()] == [int] * 4
+    # arithmetic may leave an integral value as a Fraction
+    mixed = Poly(2, {(1, 0): Fraction(3, 2), (0, 0): Fraction(-1, 2)}) * 2
+    assert [type(c) for c in mixed.terms.values()] == [Fraction] * 2
+    for p in built + [mixed]:
+        assert p == built[0] and hash(p) == hash(built[0])
+        assert p.render() == "3*y1 - 1"
+        assert json.dumps(encode(doc(p))) == json.dumps(encode(doc(built[0])))
+
+
+@pytest.fixture
+def made(monkeypatch):
+    """Every Poly built while the test runs, by either constructor."""
+    made = []
+    init, trusted = Poly.__init__, Poly._trusted.__func__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+
+    def recording_trusted(cls, num_vars, terms):
+        made.append(trusted(cls, num_vars, terms))
+        return made[-1]
+
+    monkeypatch.setattr(Poly, "__init__", recording_init)
+    monkeypatch.setattr(Poly, "_trusted", classmethod(recording_trusted))
+    return made
+
+
+# the variable a shear of y_i multiplies, and the two degree-zero products it may use
+SHEAR_SHAPES = {0: (1, (1, 2), (1, 3)), 1: (0, (0, 2), (0, 3)),
+                2: (3, (0, 3), (1, 3)), 3: (2, (0, 2), (1, 2))}
+
+
+def _random_shear(rng, ring):
+    index = rng.randrange(4)
+    front, u, v = SHEAR_SHAPES[index]
+    y = [Poly.variable(4, i) for i in range(4)]
+    f = Poly.zero(4)
+    while f.is_zero():
+        for l in range(2):
+            for r in range(2 - l):
+                c = Fraction(rng.randint(-2, 2), rng.choice((1, 1, 2)))
+                f = f + c * y[front] * (y[u[0]] * y[u[1]]) ** l * (y[v[0]] * y[v[1]]) ** r
+    return elementary_shear(ring, index, f)
+
+
+def test_coefficients_are_never_float_or_bool(made):
+    for path in sorted(FIXTURE_DIR.glob("*.json")):
+        doc = json.loads(path.read_text())
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([doc["command"], str(path)]) == 0
+    rng = random.Random(41)
+    ring = quadric_grading()
+    one = Poly.constant(4, 1)
+    for _ in range(8):
+        shears = [_random_shear(rng, ring) for _ in range(rng.randint(2, 4))]
+        inverses = [elementary_inverse(e) for e in reversed(shears)]
+        chain = compose_chain([e.map for e in shears])
+        assert poly_det(jacobian(chain)) == one
+        assert compose_chain([chain] + [e.map for e in inverses]).is_identity()
+        assert all(verify_inverse(e, e_inv) for e, e_inv in zip(shears, reversed(inverses)))
+        p = chain.images[rng.randrange(4)]
+        q = parse_poly(p.render(YS), YS)
+        assert q == p and (p - q).terms == {} and p + q == 2 * p and p * q == q ** 2
+        assert p.derivative(0) * 3 == (3 * p).derivative(0) and p * True == p
+        assert substitute(p * Fraction(2, 3), chain) == substitute(p, chain) * Fraction(2, 3)
+    linear = elementary_linear(ring, [[2, 0, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    assert verify_inverse(linear, elementary_inverse(linear))
+    kinds = {type(c) for p in made for c in p.terms.values()}
+    assert kinds == {int, Fraction}
