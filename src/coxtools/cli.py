@@ -152,14 +152,18 @@ def _decode_cone(doc):
 def _decode_grading(doc):
     if doc is None:
         return quadric_grading()
-    group = AbGroup(_as_int(_require(doc, "free_rank")), _int_vector(doc.get("torsion", [])))
+    rank = _at_least(_as_int(_require(doc, "free_rank")), 0, "free_rank")
+    torsion = _int_vector(doc.get("torsion", []))
     degs = []
     for d in _list(_require(doc, "var_degrees"), "a list of degrees"):
         if not isinstance(d, dict):
             raise InputError("each variable degree must be an object")
-        degs.append(group.element(_int_vector(d.get("free", [])),
-                                  _int_vector(d.get("torsion", []))))
-    return GradedRing(group, tuple(degs))
+        degs.append((_int_vector(d.get("free", [])), _int_vector(d.get("torsion", []))))
+    try:  # the torsion orders, and each degree's shape
+        group = AbGroup(rank, torsion)
+        return GradedRing(group, tuple(group.element(free, tors) for free, tors in degs))
+    except ValueError as exc:
+        raise InputError(f"grading: {exc}") from exc
 
 
 def _var_names(doc, count=None):
@@ -175,6 +179,8 @@ def _var_names(doc, count=None):
     if not isinstance(names, list) or (count is not None and len(names) != count) \
             or not all(isinstance(n, str) for n in names):
         raise InputError("var_names must list one name per variable")
+    if len(set(names)) != len(names):
+        raise InputError("var_names must be distinct")
     return names
 
 
@@ -342,6 +348,8 @@ def cmd_verify_lift(doc, args):
     ynames = [f"y{i + 1}" for i in range(len(cd.rays))]
     psi = _polys(_require(doc, "psi"), xnames)
     phi_images = _polys(_require(doc, "phi"), ynames)
+    if len(psi) != k or len(phi_images) != len(ynames):
+        raise InputError("verify-lift needs one psi image per character and one phi image per ray")
     phi = GradedEndo(cd.graded_ring, PolyMap(tuple(phi_images)))
     return {"ok": verify_lift(cd, psi, phi)}
 

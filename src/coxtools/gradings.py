@@ -100,17 +100,16 @@ class AbGroup:
     def zero(self):
         return GroupElem((0,) * self.free_rank, (0,) * len(self.torsion))
 
-    def add(self, a, b):
-        return GroupElem(tuple(x + y for x, y in zip(a.free, b.free)),
-                         tuple((x + y) % d for x, y, d in zip(a.torsion, b.torsion, self.torsion)))
-
-    def neg(self, a):
-        return GroupElem(tuple(-x for x in a.free),
-                         tuple((-x) % d for x, d in zip(a.torsion, self.torsion)))
-
-    def scale(self, a, k):
-        return GroupElem(tuple(k * x for x in a.free),
-                         tuple((k * x) % d for x, d in zip(a.torsion, self.torsion)))
+    def combination(self, coeffs, elems):
+        """The reduced element sum k_i * x_i over paired ``coeffs`` and ``elems``."""
+        free, tors = [0] * self.free_rank, [0] * len(self.torsion)
+        for k, x in zip(coeffs, elems):
+            if k:
+                for j, v in enumerate(x.free):
+                    free[j] += k * v
+                for j, v in enumerate(x.torsion):
+                    tors[j] += k * v
+        return GroupElem(tuple(free), tuple([r % d for r, d in zip(tors, self.torsion)]))
 
     @property
     def torsion_order(self):
@@ -129,38 +128,6 @@ class DegreeEndo:
     free_matrix: tuple
     mixed: tuple
     torsion_matrix: tuple
-
-    def apply(self, e):
-        g = self.group
-        a, t = g.free_rank, len(g.torsion)
-        free = tuple(sum(self.free_matrix[i][j] * e.free[j] for j in range(a)) for i in range(a))
-        tors = tuple(
-            (sum(self.mixed[i][j] * e.free[j] for j in range(a))
-             + sum(self.torsion_matrix[i][j] * e.torsion[j] for j in range(t))) % g.torsion[i]
-            for i in range(t))
-        return GroupElem(free, tors)
-
-    def is_identity(self):
-        g = self.group
-        return (self.free_matrix == la.identity(g.free_rank)
-                and all(all(x % g.torsion[i] == 0 for x in row) for i, row in enumerate(self.mixed))
-                and all(all((self.torsion_matrix[i][j] - (1 if i == j else 0)) % g.torsion[i] == 0
-                            for j in range(len(g.torsion))) for i in range(len(g.torsion))))
-
-    def is_automorphism(self):
-        g = self.group
-        a, t = g.free_rank, len(g.torsion)
-        if a and abs(la.det_int(self.free_matrix)) != 1:
-            return False
-        if t:
-            seen = set()
-            for residues in itertools.product(*(range(d) for d in g.torsion)):
-                img = tuple(sum(self.torsion_matrix[i][j] * residues[j] for j in range(t)) % g.torsion[i]
-                            for i in range(t))
-                seen.add(img)
-            if len(seen) != g.torsion_order:
-                return False
-        return True
 
 
 @dataclass(frozen=True)
@@ -182,23 +149,18 @@ def degree_of(p, ring):
         raise ValueError("variable count mismatch")
     if p.is_zero():
         return ZERO_DEGREE
-    g = ring.group
-    deg = None
-    first_term = None
-    for e in sorted(p.terms):
-        d = g.zero()
-        for i, k in enumerate(e):
-            if k:
-                d = g.add(d, g.scale(ring.var_degrees[i], k))
-        if deg is None:
-            deg, first_term = d, e
-        elif d != deg:
-            raise NotHomogeneousError(first_term, e)
+    combination, var_degrees = ring.group.combination, ring.var_degrees
+    terms = sorted(p.terms)
+    deg = combination(terms[0], var_degrees)
+    for e in terms[1:]:
+        if combination(e, var_degrees) != deg:
+            raise NotHomogeneousError(terms[0], e)
     return deg
 
 
 class GradedEndo:
-    """Endomorphism of a graded polynomial ring by homogeneous images."""
+    """Endomorphism of a graded polynomial ring by homogeneous images;
+    ``image_degrees`` holds each image's degree (ZERO_DEGREE for 0)."""
 
     def __init__(self, ring, polymap, elementary=None):
         if polymap.source_vars != ring.num_vars or polymap.target_vars != ring.num_vars:
@@ -206,11 +168,13 @@ class GradedEndo:
         self.ring = ring
         self.map = polymap
         self.elementary = elementary
+        degrees = []
         for i, img in enumerate(polymap.images):
             try:
-                degree_of(img, ring)
+                degrees.append(degree_of(img, ring))
             except NotHomogeneousError:
                 raise ImagesNotHomogeneousError(i) from None
+        self.image_degrees = tuple(degrees)
 
     def __eq__(self, other):
         return (isinstance(other, GradedEndo) and self.ring == other.ring
@@ -231,73 +195,83 @@ _SEARCH_BOUND = 2
 _CANDIDATE_CAP = 20000
 
 
-def _degree_endo_candidates(group, pairs):
-    """Deterministic stream of degree endomorphisms matching the pairs.
+def _free_blocks(group, pairs):
+    """Deterministic stream of integer free blocks F with F.u == w on the
+    free parts of the pairs (source GroupElem u, target GroupElem w).
 
-    ``pairs`` are (source GroupElem, target GroupElem).  The free part is
-    solved exactly over the rationals; when underdetermined, integer
-    nullspace offsets with coefficients up to ``_SEARCH_BOUND`` are tried.
-    Torsion blocks are enumerated exhaustively (guarded by ``_CANDIDATE_CAP``).
+    The rows are solved exactly over the rationals; when underdetermined,
+    integer nullspace offsets with coefficients up to ``_SEARCH_BOUND``
+    are tried, and the stream stops after ``_CANDIDATE_CAP`` + 1 offsets.
     """
-    a, t = group.free_rank, len(group.torsion)
-    free_solutions = []
+    a = group.free_rank
     if a == 0:
-        free_solutions.append(())
-    else:
-        src = [p[0].free for p in pairs]
-        rows = []
-        consistent = True
+        yield ()
+        return
+    src = [u.free for u, _ in pairs]
+    rows = [la.solve(src, [w.free[r] for _, w in pairs]) if src else (0,) * a for r in range(a)]
+    if None in rows:
+        return
+    null = la.nullspace(src) if src else la.identity(a)
+    offsets = [()] if not null else itertools.product(
+        range(-_SEARCH_BOUND, _SEARCH_BOUND + 1), repeat=len(null))
+    for count, combo in enumerate(offsets, 1):
+        cand = []
         for r in range(a):
-            rhs = [p[1].free[r] for p in pairs]
-            sol = la.solve(src, rhs) if src else tuple(Fraction(0) for _ in range(a))
-            if sol is None:
-                consistent = False
+            row = list(rows[r])
+            for cidx, coeff in enumerate(combo):
+                if coeff:
+                    row = [x + coeff * y for x, y in zip(row, null[cidx])]
+            if any(x.denominator != 1 for x in row):
                 break
-            rows.append(sol)
-        if consistent:
-            null = la.nullspace(src) if src else tuple(
-                tuple(Fraction(1 if i == j else 0) for j in range(a)) for i in range(a))
-            offsets = [()] if not null else itertools.product(
-                range(-_SEARCH_BOUND, _SEARCH_BOUND + 1), repeat=len(null))
-            count = 0
-            for combo in offsets:
-                cand = []
-                ok = True
-                for r in range(a):
-                    row = list(rows[r])
-                    for cidx, coeff in enumerate(combo):
-                        if coeff:
-                            row = [x + coeff * y for x, y in zip(row, null[cidx])]
-                    if any(x.denominator != 1 for x in row):
-                        ok = False
-                        break
-                    cand.append(tuple(int(x) for x in row))
-                if ok:
-                    free_solutions.append(tuple(cand))
-                count += 1
-                if count > _CANDIDATE_CAP:
-                    break
-    if not free_solutions:
-        return
+            cand.append(tuple(int(x) for x in row))
+        else:
+            yield tuple(cand)
+        if count > _CANDIDATE_CAP:
+            return
 
-    if t == 0:
-        for fm in free_solutions:
-            yield DegreeEndo(group, fm, (), ())
-        return
 
-    space = group.torsion_order ** (a + t)
-    if space > _CANDIDATE_CAP:
+def _torsion_bijective(torsion, tm):
+    """A homomorphism T of ZZ/d_1 + ... + ZZ/d_t is bijective exactly when
+    it is onto, that is when every invariant factor of [T | diag(d)] is 1."""
+    t = len(torsion)
+    if not t:
+        return True
+    s = la.snf([row + tuple([d if j == i else 0 for j in range(t)])
+                for i, (row, d) in enumerate(zip(tm, torsion))])[0]
+    return all(s[i][i] == 1 for i in range(t))
+
+
+def _degree_automorphism(group, pairs):
+    """The first group automorphism phi0 with phi0(u) == w on every pair, or None.
+
+    phi0 is an automorphism exactly when its free block F is unimodular and
+    its torsion block T bijective.  F is constrained only by the free parts
+    of the pairs and the blocks (M, T) only by the torsion parts, so phi0 is
+    the first unimodular F of ``_free_blocks`` with the first matching (M, T)
+    whose T is bijective, and each half is searched once.  The torsion
+    blocks are enumerated exhaustively, guarded by ``_CANDIDATE_CAP``.
+    """
+    a, torsion = group.free_rank, group.torsion
+    t = len(torsion)
+    blocks = _free_blocks(group, pairs)
+    first = next(blocks, None)
+    if first is None:
+        return None
+    if group.torsion_order ** (a + t) > _CANDIDATE_CAP:
         raise ValueError("torsion search space too large")
-    for fm in free_solutions:
-        for flat in itertools.product(*(range(group.torsion[i]) for i in range(t) for _ in range(a + t))):
-            mixed = tuple(tuple(flat[i * (a + t) + j] for j in range(a)) for i in range(t))
-            tm = tuple(tuple(flat[i * (a + t) + a + j] for j in range(t)) for i in range(t))
-            # torsion matrix must define homomorphisms ZZ/d_j -> ZZ/d_i
-            if any((tm[i][j] * group.torsion[j]) % group.torsion[i] for i in range(t) for j in range(t)):
-                continue
-            endo = DegreeEndo(group, fm, mixed, tm)
-            if all(endo.apply(u) == w for u, w in pairs):
-                yield endo
+    fm = next((f for f in itertools.chain((first,), blocks) if abs(la.det_int(f)) == 1), None)
+    if fm is None:
+        return None
+    for flat in itertools.product(*(range(torsion[i]) for i in range(t) for _ in range(a + t))):
+        mixed = tuple(tuple(flat[i * (a + t) + j] for j in range(a)) for i in range(t))
+        tm = tuple(tuple(flat[i * (a + t) + a + j] for j in range(t)) for i in range(t))
+        # the torsion matrix must define homomorphisms ZZ/d_j -> ZZ/d_i
+        if any((tm[i][j] * torsion[j]) % torsion[i] for i in range(t) for j in range(t)):
+            continue
+        if all((la.dot(mixed[i], u.free) + la.dot(tm[i], u.torsion)) % torsion[i] == w.torsion[i]
+               for u, w in pairs for i in range(t)) and _torsion_bijective(torsion, tm):
+            return DegreeEndo(group, fm, mixed, tm)
+    return None
 
 
 def check_normalizes(e):
@@ -308,27 +282,14 @@ def check_normalizes(e):
     and ``neither`` otherwise.
     """
     ring = e.ring
-    degs = []
-    for i, img in enumerate(e.map.images):
-        try:
-            degs.append(degree_of(img, ring))
-        except NotHomogeneousError:
-            raise ImagesNotHomogeneousError(i) from None
-    pairs = []
-    preserved = True
-    for vd, d in zip(ring.var_degrees, degs):
-        if d is ZERO_DEGREE:
-            continue
-        pairs.append((vd, d))
-        if d != vd:
-            preserved = False
-    if preserved:
+    pairs = [(vd, d) for vd, d in zip(ring.var_degrees, e.image_degrees) if d is not ZERO_DEGREE]
+    if all(vd == d for vd, d in pairs):
         return NormalizationResult("preserves", _identity_endo(ring.group))
-    for endo in _degree_endo_candidates(ring.group, pairs):
-        if endo.is_automorphism():
-            return NormalizationResult("normalizes", endo)
-    return NormalizationResult(
-        "neither", None, "no group automorphism matches the induced degree assignment")
+    phi0 = _degree_automorphism(ring.group, pairs)
+    if phi0 is None:
+        return NormalizationResult(
+            "neither", None, "no group automorphism matches the induced degree assignment")
+    return NormalizationResult("normalizes", phi0)
 
 
 def _identity_endo(group):
@@ -420,15 +381,6 @@ def linear_part(e):
     return elementary_shear(e.ring, index, f.homogeneous_part(1))
 
 
-def is_nonlinear(e):
-    if e.elementary is None:
-        raise NotElementaryError("not an elementary endomorphism")
-    if e.elementary[0] == "linear":
-        return False
-    f = e.elementary[2]
-    return f != f.homogeneous_part(1)
-
-
 def rho_replace(seq, frozen_vars, num_vars=None):
     """Compose ``seq`` after replacing nonlinear shears on frozen variables
     by their linear parts.  Variable indices are 0-based.  An empty
@@ -438,7 +390,8 @@ def rho_replace(seq, frozen_vars, num_vars=None):
     for e in seq:
         if e.elementary is None:
             raise NotElementaryError("sequence contains a non-elementary endomorphism")
-        if e.elementary[0] == "shear" and e.elementary[1] in frozen and is_nonlinear(e):
+        if e.elementary[0] == "shear" and e.elementary[1] in frozen \
+                and e.elementary[2] != e.elementary[2].homogeneous_part(1):
             replaced.append(linear_part(e))
         else:
             replaced.append(e)

@@ -110,12 +110,7 @@ def pullback(cd, u):
 
 def degree_of_monomial(cd, exponents):
     """Class-group degree of a monomial in the ray variables."""
-    g = cd.cl_group
-    d = g.zero()
-    for e, vd in zip(exponents, cd.var_degrees):
-        if e:
-            d = g.add(d, g.scale(vd, e))
-    return d
+    return cd.cl_group.combination(exponents, cd.var_degrees)
 
 
 def verify_lift(cd, psi_images, phi):

@@ -1,8 +1,10 @@
+import copy
 import importlib.util
 import io
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
@@ -154,6 +156,8 @@ def test_conductor_bound(tmp_path, command):
 
 
 SHEAR = {"variable": "y1", "f": "y2", "h": "y2*y3", "k": 1}
+PLANE_LIFT = {"cone": {"ambient_rank": 2, "rays": [[1, 0], [0, 1]]},
+              "psi": ["x1", "x2"], "phi": ["y1", "y2"]}
 
 
 @pytest.mark.parametrize("command,payload", [
@@ -189,11 +193,106 @@ SHEAR = {"variable": "y1", "f": "y2", "h": "y2*y3", "k": 1}
     ("extend", {"monoid": {"ambient_rank": 2, "generators": [[1, 0], [0, 1]]},
                 "alpha": {"matrix": [4, [0, 1]]}}),
     ("wildness-cert", [{"sequence": []}]),
+    # duplicate variable names
+    ("compose", {"num_vars": 2, "var_names": ["a", "a"], "maps": [["a", "a"]]}),
+    ("parse-poly", {"text": "y1", "var_names": ["y1", "y1"]}),
+    ("wildness-cert", {"var_names": ["a", "a", "b", "c"], "sequence": []}),
+    # verify-lift needs one phi image per ray and one psi image per character
+    ("verify-lift", dict(PLANE_LIFT, phi=[])),
+    ("verify-lift", dict(PLANE_LIFT, phi=["y1"])),
+    ("verify-lift", dict(PLANE_LIFT, phi=["y1", "y2", "y1"])),
+    ("verify-lift", dict(PLANE_LIFT, psi=["x1"])),
+    ("verify-lift", dict(PLANE_LIFT, psi=["x1", "x2", "x1"])),
+    # the grading's shape
+    ("shear-family", dict(SHEAR, grading={"free_rank": -1, "var_degrees": [{}]})),
+    ("shear-family", dict(SHEAR, grading={"free_rank": 1, "var_degrees": [{"free": [1, 0]}]})),
+    ("shear-family", dict(SHEAR, grading={"free_rank": 1, "var_degrees": [{"torsion": [1]}]})),
+    ("shear-family", dict(SHEAR, grading={"free_rank": 0, "torsion": [2],
+                                          "var_degrees": [{}]})),
+    ("shear-family", dict(SHEAR, grading={"free_rank": 0, "torsion": [1],
+                                          "var_degrees": [{"torsion": [0]}]})),
+    ("shear-family", dict(SHEAR, grading={"free_rank": 0, "torsion": [2, 3],
+                                          "var_degrees": [{"torsion": [1, 1]}]})),
 ], ids=lambda x: x if isinstance(x, str) else json.dumps(x))
 def test_malformed_payload_exit_2(tmp_path, command, payload):
     p = tmp_path / "payload.json"
     p.write_text(json.dumps(payload))
     _assert_malformed(*run_cli([command, str(p)]))
+
+
+# -- seeded malformed payloads --------------------------------------------------
+#
+# The benchmark corpus's four payload mutations: drop a key, retype a value,
+# wrap a value in a list or in an object.
+
+MUTATIONS = ("drop_key", "retype", "wrap_list", "wrap_object")
+
+
+def _paths(node, prefix=()):
+    """Every position in a JSON tree, as key/index paths (root excluded)."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for k, v in items:
+        yield prefix + (k,), v
+        yield from _paths(v, prefix + (k,))
+
+
+def _retyped(value, rng):
+    if isinstance(value, bool):
+        return str(value)
+    if isinstance(value, int):
+        return rng.choice([[value], str(value) + "x", None, float(value) + 0.5])
+    if isinstance(value, str):
+        return rng.choice([len(value), [value], None])
+    if isinstance(value, list):
+        return rng.choice([len(value), "list", None])
+    if isinstance(value, dict):
+        return rng.choice([list(value), 0, "object"])
+    return 0
+
+
+def _mutate(payload, kind, rng):
+    """A seeded malformed copy of ``payload``."""
+    doc = copy.deepcopy(payload)
+    if kind == "drop_key":
+        path = rng.choice([p for p, _ in _paths(doc) if isinstance(p[-1], str)])
+    else:
+        path, value = rng.choice(list(_paths(doc)))
+    parent = doc
+    for k in path[:-1]:
+        parent = parent[k]
+    if kind == "drop_key":
+        del parent[path[-1]]
+    elif kind == "retype":
+        parent[path[-1]] = _retyped(value, rng)
+    elif kind == "wrap_list":
+        parent[path[-1]] = [value]
+    else:
+        parent[path[-1]] = {"value": value}
+    return doc
+
+
+@pytest.mark.parametrize("path", FIXTURES, ids=lambda p: p.stem)
+def test_mutated_payloads_keep_the_cli_contract(tmp_path, path):
+    """Every mutation of every fixture, seeds 0-2: no exception escapes
+    main, the exit code is 0, 1 or 2, and stdout is one JSON line.  The
+    group commands run with --cap 1, so a mutation that stays valid does
+    not close a large group."""
+    doc = json.loads(path.read_text())
+    flags = ["--cap", "1"] if doc["command"] in ("quotient-report", "reynolds") else []
+    for kind in MUTATIONS:
+        for seed in range(3):
+            bad = _mutate(doc["payload"], kind, random.Random(f"{path.stem}:{kind}:{seed}"))
+            p = tmp_path / f"{kind}-{seed}.json"
+            p.write_text(json.dumps({"payload": bad}))
+            code, out = run_cli([doc["command"], str(p), *flags])
+            assert code in (0, 1, 2), (kind, seed, out)
+            assert out.endswith("\n") and out.count("\n") == 1, (kind, seed, out)
+            json.loads(out)
 
 
 @pytest.mark.parametrize("argv", [

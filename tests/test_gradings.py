@@ -1,6 +1,15 @@
+import itertools
+import random
+from collections import Counter
+from dataclasses import dataclass
+from fractions import Fraction
+from types import SimpleNamespace
+
 import pytest
 
+from coxtools import intlinalg as la
 from coxtools.gradings import (AbGroup, DependsOnTargetError, GradedEndo, GradedRing,
+                               GroupElem, _CANDIDATE_CAP, _SEARCH_BOUND, _torsion_bijective,
                                ImagesNotHomogeneousError, NotElementaryError,
                                NotHomogeneousError, NotHomogeneousShearError,
                                SingularLinearError, ZERO_DEGREE, anick_automorphism,
@@ -304,3 +313,224 @@ def test_nagata_homogeneity_locus():
     good = nagata_homogeneity_scan(4)
     assert good == [(-3, -1, 1), (0, 0, 0), (3, 1, -1)]
     assert all(a == 3 * b and c == -b for a, b, c in good)
+
+
+# -- the two-half normalization search against the nested one ----------------------
+#
+# The nested free x torsion search that check_normalizes ran before it was
+# split in two, kept verbatim as the test-only reference: the former
+# DegreeEndo's apply and is_automorphism (which lists every residue), the
+# candidate stream, and the classification loop over it.
+
+@dataclass(frozen=True)
+class _ReferenceEndo:
+    group: AbGroup
+    free_matrix: tuple
+    mixed: tuple
+    torsion_matrix: tuple
+
+    def apply(self, e):
+        g = self.group
+        a, t = g.free_rank, len(g.torsion)
+        free = tuple(sum(self.free_matrix[i][j] * e.free[j] for j in range(a)) for i in range(a))
+        tors = tuple(
+            (sum(self.mixed[i][j] * e.free[j] for j in range(a))
+             + sum(self.torsion_matrix[i][j] * e.torsion[j] for j in range(t))) % g.torsion[i]
+            for i in range(t))
+        return GroupElem(free, tors)
+
+    def is_automorphism(self):
+        g = self.group
+        a, t = g.free_rank, len(g.torsion)
+        if a and abs(la.det_int(self.free_matrix)) != 1:
+            return False
+        if t:
+            seen = set()
+            for residues in itertools.product(*(range(d) for d in g.torsion)):
+                img = tuple(sum(self.torsion_matrix[i][j] * residues[j] for j in range(t)) % g.torsion[i]
+                            for i in range(t))
+                seen.add(img)
+            if len(seen) != g.torsion_order:
+                return False
+        return True
+
+
+def _reference_candidates(group, pairs):
+    a, t = group.free_rank, len(group.torsion)
+    free_solutions = []
+    if a == 0:
+        free_solutions.append(())
+    else:
+        src = [p[0].free for p in pairs]
+        rows = []
+        consistent = True
+        for r in range(a):
+            rhs = [p[1].free[r] for p in pairs]
+            sol = la.solve(src, rhs) if src else tuple(Fraction(0) for _ in range(a))
+            if sol is None:
+                consistent = False
+                break
+            rows.append(sol)
+        if consistent:
+            null = la.nullspace(src) if src else tuple(
+                tuple(Fraction(1 if i == j else 0) for j in range(a)) for i in range(a))
+            offsets = [()] if not null else itertools.product(
+                range(-_SEARCH_BOUND, _SEARCH_BOUND + 1), repeat=len(null))
+            count = 0
+            for combo in offsets:
+                cand = []
+                ok = True
+                for r in range(a):
+                    row = list(rows[r])
+                    for cidx, coeff in enumerate(combo):
+                        if coeff:
+                            row = [x + coeff * y for x, y in zip(row, null[cidx])]
+                    if any(x.denominator != 1 for x in row):
+                        ok = False
+                        break
+                    cand.append(tuple(int(x) for x in row))
+                if ok:
+                    free_solutions.append(tuple(cand))
+                count += 1
+                if count > _CANDIDATE_CAP:
+                    break
+    if not free_solutions:
+        return
+
+    if t == 0:
+        for fm in free_solutions:
+            yield _ReferenceEndo(group, fm, (), ())
+        return
+
+    space = group.torsion_order ** (a + t)
+    if space > _CANDIDATE_CAP:
+        raise ValueError("torsion search space too large")
+    for fm in free_solutions:
+        for flat in itertools.product(*(range(group.torsion[i]) for i in range(t) for _ in range(a + t))):
+            mixed = tuple(tuple(flat[i * (a + t) + j] for j in range(a)) for i in range(t))
+            tm = tuple(tuple(flat[i * (a + t) + a + j] for j in range(t)) for i in range(t))
+            # torsion matrix must define homomorphisms ZZ/d_j -> ZZ/d_i
+            if any((tm[i][j] * group.torsion[j]) % group.torsion[i] for i in range(t) for j in range(t)):
+                continue
+            endo = _ReferenceEndo(group, fm, mixed, tm)
+            if all(endo.apply(u) == w for u, w in pairs):
+                yield endo
+
+
+def _reference_classify(group, var_degrees, degs):
+    pairs = []
+    preserved = True
+    for vd, d in zip(var_degrees, degs):
+        if d is ZERO_DEGREE:
+            continue
+        pairs.append((vd, d))
+        if d != vd:
+            preserved = False
+    if preserved:
+        return "preserves", None
+    for endo in _reference_candidates(group, pairs):
+        if endo.is_automorphism():
+            return "normalizes", endo
+    return "neither", None
+
+
+def _outcome(classify):
+    """(kind, phi0's three matrices) of a classification, or the raised message."""
+    try:
+        kind, phi0 = classify()
+    except ValueError as exc:
+        return "raised", str(exc)
+    if kind != "normalizes":
+        return kind, None
+    return kind, (phi0.free_matrix, phi0.mixed, phi0.torsion_matrix)
+
+
+def _new_outcome(group, var_degrees, degs):
+    # check_normalizes reads only the ring and the stored image degrees
+    e = SimpleNamespace(ring=GradedRing(group, var_degrees), image_degrees=tuple(degs))
+
+    def classify():
+        res = check_normalizes(e)
+        return res.kind, res.phi0
+    return _outcome(classify)
+
+
+def _hom_blocks(rng, torsion):
+    """A seeded torsion block T: a homomorphism of ZZ/d_1 + ... + ZZ/d_t."""
+    t = len(torsion)
+    while True:
+        tm = tuple(tuple(rng.randrange(torsion[i]) for _ in range(t)) for i in range(t))
+        if not any((tm[i][j] * torsion[j]) % torsion[i] for i in range(t) for j in range(t)):
+            return tm
+
+
+def _random_automorphism(rng, group):
+    a = group.free_rank
+    fm = [list(row) for row in la.identity(a)]
+    for _ in range(rng.randint(0, 4) if a else 0):  # row operations stay unimodular
+        i, j, k = rng.randrange(a), rng.randrange(a), rng.randint(-2, 2)
+        if i != j:
+            fm[i] = [x + k * y for x, y in zip(fm[i], fm[j])]
+        else:
+            fm[i] = [-x for x in fm[i]]
+    mixed = tuple(tuple(rng.randrange(d) for _ in range(a)) for d in group.torsion)
+    while True:
+        endo = _ReferenceEndo(group, tuple(map(tuple, fm)), mixed,
+                              _hom_blocks(rng, group.torsion))
+        if endo.is_automorphism():
+            return endo
+
+
+def _random_element(rng, group):
+    return group.element([rng.randint(-3, 3) for _ in range(group.free_rank)],
+                         [rng.randrange(d) for d in group.torsion])
+
+
+TORSIONS = [(), (2,), (3,), (2, 2), (2, 4), (6,)]
+
+
+def _seeded_cases(seed, count):
+    rng = random.Random(seed)
+    for k in range(count):
+        group = AbGroup(rng.randint(0, 2), rng.choice(TORSIONS))
+        sources = tuple(_random_element(rng, group) for _ in range(rng.randint(0, 3)))
+        if k % 2:
+            phi = _random_automorphism(rng, group)
+            targets = [phi.apply(u) for u in sources]
+        else:
+            targets = [_random_element(rng, group) for _ in sources]
+        targets = [ZERO_DEGREE if rng.random() < 0.1 else w for w in targets]
+        yield group, sources, targets
+
+
+def test_two_half_search_matches_the_nested_search():
+    kinds = Counter()
+    for group, sources, targets in _seeded_cases(0, 300):
+        expected = _outcome(lambda: _reference_classify(group, sources, targets))
+        assert _new_outcome(group, sources, targets) == expected, (group, sources, targets)
+        kinds[expected[0]] += 1
+    assert kinds["preserves"] and kinds["normalizes"] > 50 and kinds["neither"] > 50
+
+
+def test_oversized_torsion_space_still_raises_without_a_unimodular_block():
+    """Free solutions exist but none is unimodular (F = (2)), and the
+    torsion space 16^5 is over the cap: both searches raise."""
+    group = AbGroup(1, (2, 2, 2, 2))
+    u, w = group.element((1,), (0,) * 4), group.element((2,), (0,) * 4)
+    assert group.torsion_order ** 5 > _CANDIDATE_CAP
+    expected = ("raised", "torsion search space too large")
+    assert _outcome(lambda: _reference_classify(group, (u,), (w,))) == expected
+    assert _new_outcome(group, (u,), (w,)) == expected
+
+
+def test_smith_form_bijectivity_matches_residue_enumeration():
+    rng = random.Random(1)
+    verdicts = Counter()
+    for torsion in [(2,), (3,), (6,), (2, 2), (2, 4), (3, 9), (2, 2, 2), (2, 2, 4)]:
+        group = AbGroup(0, torsion)
+        for _ in range(60):
+            tm = _hom_blocks(rng, torsion)
+            expected = _ReferenceEndo(group, (), (), tm).is_automorphism()
+            assert _torsion_bijective(torsion, tm) == expected, (torsion, tm)
+            verdicts[expected] += 1
+    assert verdicts[True] > 50 and verdicts[False] > 50

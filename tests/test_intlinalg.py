@@ -164,13 +164,43 @@ def test_adjugate_matches_sympy():
 
 def test_snf_matches_sympy():
     """The invariant factors agree with sympy's Smith form, and U.a.V == S
-    with U, V unimodular (hnf is left out: sympy's uses another convention)."""
+    with U, V unimodular."""
     for a in _random_matrices(9, count=120):
         s, u, v = la.snf(a)
         ref = smith_normal_form(sympy.Matrix(a))
         assert [[s[i][j] for j in range(len(a[0]))] for i in range(len(a))] == ref.tolist()
         assert la.mat_mul(la.mat_mul(u, a), v) == s
         assert abs(la.det_int(u)) == abs(la.det_int(v)) == 1
+
+
+def _is_row_hnf(h):
+    """The shape that makes a row Hermite form of a row space unique: pivot
+    columns strictly increase, pivots are positive, the entries above a
+    pivot lie in [0, pivot), and zero rows come last."""
+    last = -1
+    for i, row in enumerate(h):
+        p = next((j for j, x in enumerate(row) if x), None)
+        if p is None:
+            return all(not any(r) for r in h[i:])
+        if p <= last or row[p] <= 0 or any(not 0 <= h[k][p] < row[p] for k in range(i)):
+            return False
+        last = p
+    return True
+
+
+def test_hnf_is_the_unique_row_form():
+    """U.a == H with U unimodular, and H has the unique row-HNF shape
+    (sympy's hermite_normal_form uses another convention, so the shape is
+    the oracle)."""
+    for a in _random_matrices(10, count=200):
+        h, u = la.hnf(a)
+        assert la.mat_mul(u, a) == h
+        assert abs(la.det_int(u)) == 1
+        assert _is_row_hnf(h)
+    assert not _is_row_hnf(((0, 2), (1, 0)))  # pivot columns must increase
+    assert not _is_row_hnf(((1, 3), (0, 2)))  # entry above a pivot not reduced
+    assert not _is_row_hnf(((0, 0), (1, 0)))  # a zero row before a nonzero one
+    assert not _is_row_hnf(((-1, 0),))        # negative pivot
 
 
 def test_lattice_coords_on_and_off_the_lattice():
