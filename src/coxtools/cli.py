@@ -464,7 +464,7 @@ def main(argv=None):
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("input", help="path to a JSON payload or fixture file")
     parser.add_argument("--depth", type=int, default=None,
-                        help="search depth for bounded verifications")
+                        help="search depth for extend (check-axioms is exact and only echoes it)")
     parser.add_argument("--cap", type=int, default=None,
                         help="group closure cap")
     parser.add_argument("--pretty", action="store_true", help="indent the output")

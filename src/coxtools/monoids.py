@@ -15,17 +15,19 @@ returns a finite witness violating one of the two extension conditions:
   (**) a subset with no common divisor in the divisor theory must have
        no common prime in the target.
 
-All searches are depth-bounded and deterministic; monoid elements are
-enumerated by total generator degree, then lexicographic exponents, so
-reported witnesses are reproducible.
+``verify_divisor_axioms`` decides both axioms exactly and only echoes
+its ``depth``.  ``extend_embedding`` searches to a depth bound, with
+monoid elements enumerated by total generator degree, then
+lexicographic exponents, so reported witnesses are reproducible.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from math import gcd, lcm
 
 from . import intlinalg as la
-from .cones import Cone, NonPointedError, _inside, hilbert_basis
+from .cones import Cone, NonPointedError, _dual_extreme_rays, _inside, cone_contains, hilbert_basis
 
 DEFAULT_DEPTH = 8
 
@@ -80,7 +82,7 @@ class AffineMonoid:
         """Exact membership: is v a nonnegative integer combination of
         the generators?  Decided by depth-first search pruned by cone
         membership; the strictly positive facet-sum functional bounds
-        the recursion."""
+        the search."""
         target = la.lattice_coords(self.cone.span_basis, la.vec(v))
         dual = self.cone.facet_normals()
 
@@ -94,22 +96,25 @@ class AffineMonoid:
 def _represents(t, vectors, inside):
     """Is t a nonnegative integer combination of ``vectors``?
 
-    Memoized depth-first subtraction, with vectors used in nondecreasing
-    index order.  ``inside`` must hold on every such combination; a
-    remainder failing it is pruned.  The caller guarantees termination.
+    Depth-first subtraction on an explicit stack, each remainder visited
+    once.  ``inside`` must hold on every such combination; remainders
+    failing it are pruned, and the caller guarantees finitely many pass.
     """
-    memo = {}
-
-    def search(t, start):
-        if la.is_zero_vec(t):
-            return True
-        key = (t, start)
-        if key not in memo:
-            memo[key] = any(inside(rest) and search(rest, i) for i, rest in
-                            enumerate((la.vec_sub(t, v) for v in vectors[start:]), start))
-        return memo[key]
-
-    return search(t, 0)
+    if la.is_zero_vec(t):
+        return True
+    seen = {t}
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        # pushed in reverse, so the first vector is subtracted first
+        for v in reversed(vectors):
+            rest = la.vec_sub(t, v)
+            if rest not in seen and inside(rest):
+                if la.is_zero_vec(rest):
+                    return True
+                seen.add(rest)
+                stack.append(rest)
+    return False
 
 
 def is_saturated(m):
@@ -140,6 +145,8 @@ class DivisorTheory:
             else monoid.cone.span_basis
         self.functionals = la.mat(functionals)
         k = len(self.lattice_basis)
+        if k != monoid.cone.dim:
+            raise ValueError("the lattice basis must span the monoid's group")
         if any(len(row) != k for row in self.functionals):
             raise ValueError("functional row length must match the group rank")
         if la.rank(self.functionals) != k:
@@ -259,7 +266,7 @@ def _enumerate_elements(dt, depth, alpha=None):
 
 
 # ---------------------------------------------------------------------------
-# Axiom verification.
+# Axiom verification (exact; no enumeration).
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -270,81 +277,51 @@ class AxiomReport:
     depth: int = 0
 
 
-def _exists_multiple_avoiding(images, da, db):
-    """Exact decision: is there a monoid image v with v >= da but not
-    v >= db?  Any v splits, per coordinate j with v_j < db_j, into a
-    bounded combination of generators positive at j plus arbitrarily
-    many generators vanishing at j; the latter can cover any remaining
-    coordinate with a positive entry.  No search bound is needed.
-    """
-    r = len(da)
-    for j in range(r):
-        if da[j] >= db[j]:
-            continue  # the window [da_j, db_j) is empty
-        limit = db[j] - 1
-        tj = [im for im in images if im[j] > 0]
-        sj = [im for im in images if im[j] == 0]
-        cover = [any(im[i] > 0 for im in sj) for i in range(r)]
-
-        def feasible(idx, acc):
-            if acc[j] > limit:
-                return False
-            if idx == len(tj):
-                if acc[j] < da[j]:
-                    return False
-                return all(acc[i] >= da[i] or cover[i] for i in range(r))
-            im = tj[idx]
-            for c in range((limit - acc[j]) // im[j] + 1):
-                if feasible(idx + 1, tuple(a + c * b for a, b in zip(acc, im))):
-                    return True
-            return False
-
-        if feasible(0, (0,) * r):
-            return True
-    return False
-
-
 def verify_divisor_axioms(dt, depth):
-    """Bounded check of the two divisor-theory axioms.
+    """Exact check of the two divisor-theory axioms for tau = ``dt``.
 
-    Axiom 1: whenever tau(a) = tau(b) + c with c in the free monoid, c
-    is itself a tau-image.  Axiom 2: distinct free-monoid elements have
-    distinct divisibility sets inside the monoid.  Both quantifiers run
-    over coordinate sums <= depth, but an axiom-2 counterexample is only
-    reported after an exact (unbounded) confirmation that the two
-    divisibility sets coincide, so boundary truncation cannot produce
-    spurious reports.  A pass certifies the axioms up to depth only.
+    Axiom 1: if tau(a) = tau(b) + c with c in the free monoid, c is a
+    tau-image; tau being injective, every x in the generators' group
+    G = M - M with tau(x) >= 0 lies in M.  It holds exactly when the
+    extreme rays of {tau >= 0} lie in M's cone (a multiple of each ray
+    is in G) and M is saturated in G.  A failure is reported as
+    (x, tau(x)): x is the first point of G on the first ray outside M's
+    cone, else the saturation witness.
+
+    Axiom 2: distinct d in the free monoid have distinct divisibility
+    sets {a in M : tau(a) >= d}.  Given axiom 1 it holds exactly when,
+    for every coordinate j, the images vanishing at j cover every other
+    coordinate and the j-th entries of the images have gcd 1.  If i is
+    left uncovered, e_i and e_i + e_j have the same divisibility set,
+    reported as (e_i, e_i + e_j); if the gcd g is not 1, so do e_j and
+    g e_j (reported with 2 e_j for g = 0).  Conversely, let d_j < d'_j.
+    Axiom 1 gives tau(M) = tau(G) ∩ ZZ^r_{>=0}, the gcd an x0 in G with
+    tau(x0)_j = d_j, and x0 plus N times the generators vanishing at j
+    is, for large N, divisible by d but not by d'.  ``depth`` is only echoed.
     """
-    elements = _enumerate_elements(dt, depth)
-    # the enumeration is complete up to the depth bound (every generator
-    # image has coordinate sum >= 1), so image membership of a difference
-    # vector is a set lookup
-    tau_set = {e.tau for e in elements}
-    # axiom 1
-    for a in elements:
-        for b in elements:
-            if a is b:
-                continue
-            c = tuple(x - y for x, y in zip(a.tau, b.tau))
-            if any(x < 0 for x in c) or all(x == 0 for x in c):
-                continue
-            if c not in tau_set:
-                return AxiomReport(False, 1, (a.ambient, b.ambient, c), depth)
-    # axiom 2: group free-monoid elements by truncated divisibility sets,
-    # then confirm collisions exactly
-    r = dt.free_rank
-    gen_images = dt.generator_images()
-    by_set = {}
-    for total in range(0, depth + 1):
-        for d in la.compositions(total, r):
-            div = frozenset(e.tau for e in elements
-                            if all(x >= y for x, y in zip(e.tau, d)))
-            bucket = by_set.setdefault(div, [])
-            for other in bucket:
-                if not (_exists_multiple_avoiding(gen_images, other, d)
-                        or _exists_multiple_avoiding(gen_images, d, other)):
-                    return AxiomReport(False, 2, (other, d), depth)
-            bucket.append(d)
+    # axiom 1 ranges over M - M, which may be smaller than the monoid's group
+    own = AffineMonoid(dt.monoid.ambient_rank, dt.monoid.generators)
+    rays = (la.vec_mat(ray, dt.lattice_basis) for ray in
+            _dual_extreme_rays(dt.functionals, len(dt.lattice_basis)))
+    x = next((v for v in rays if not cone_contains(own.cone, v)), None)
+    if x is not None:
+        coords = la.solve(la.transpose(own.group_basis), x)
+        x = la.vec_scale(x, lcm(*(c.denominator for c in coords)))
+    else:
+        _sat, x = is_saturated(own)
+    if x is not None:
+        return AxiomReport(False, 1, (x, dt.image(x)), depth)
+    images = dt.generator_images()
+    unit = la.identity(dt.free_rank)
+    for j in range(dt.free_rank):
+        zero_at_j = [im for im in images if im[j] == 0]
+        for i in range(dt.free_rank):
+            if i != j and not any(im[i] for im in zero_at_j):
+                both = tuple(x + y for x, y in zip(unit[i], unit[j]))
+                return AxiomReport(False, 2, (unit[i], both), depth)
+        g = gcd(*(im[j] for im in images))
+        if g != 1:
+            return AxiomReport(False, 2, (unit[j], la.vec_scale(unit[j], g or 2)), depth)
     return AxiomReport(True, 0, (), depth)
 
 
@@ -476,22 +453,19 @@ def extend_embedding(dt, alpha, depth=DEFAULT_DEPTH):
             if not _represents(s, alpha_gen_images, lambda x: min(x) >= 0):
                 return ViolationStar(a.ambient, b.ambient, s)
 
+    def coprime(es):
+        """No divisor-theory prime divides every member of ``es``."""
+        return all(min(e.tau[j] for e in es) == 0 for j in range(dt.free_rank))
+
     # condition (**): one maximal candidate subset per target prime
     target_rank = alpha.target_rank
     for p in range(target_rank):
         subset = [e for e in nonunit if e.alpha[p] > 0]
-        if not subset:
+        if not subset or not coprime(subset):
             continue
-        if any(min(e.tau[j] for e in subset) > 0 for j in range(dt.free_rank)):
-            continue  # subset has a common divisor in the divisor theory
         # prefer the generator subset when it is already coprime
-        gen_candidates = [e for e in nonunit
-                          if e.ambient in gens and e.alpha[p] > 0]
-        witness = subset
-        if gen_candidates and not any(
-                min(e.tau[j] for e in gen_candidates) > 0
-                for j in range(dt.free_rank)):
-            witness = gen_candidates
+        gen_candidates = [e for e in subset if e.ambient in gens]
+        witness = gen_candidates if gen_candidates and coprime(gen_candidates) else subset
         return ViolationStarStar(tuple(e.tau for e in witness), p + 1)
 
     # construct the extension from divisibility-set matching
@@ -515,13 +489,8 @@ def extend_embedding(dt, alpha, depth=DEFAULT_DEPTH):
         j = js[0]
         matched.add(j)
         exponent = 1
-        while True:
-            higher = frozenset(i for i, e in enumerate(elements)
-                               if e.alpha[p] >= exponent + 1)
-            if higher == n_p:
-                exponent += 1
-            else:
-                break
+        while frozenset(i for i, e in enumerate(elements) if e.alpha[p] > exponent) == n_p:
+            exponent += 1
         matrix[p][j] = exponent
     if matched != set(range(r)):
         raise DepthInsufficientError("some divisor-theory prime has no matching target prime")

@@ -1,10 +1,12 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
+from coxtools import intlinalg as la
 from coxtools.cones import NonPointedError
-from coxtools.monoids import (AffineMonoid, Beta, DivisorTheory, MonoidHom,
+from coxtools.monoids import (AffineMonoid, AxiomReport, Beta, DivisorTheory, MonoidHom,
                               NotAnEmbedding, NotSaturatedError, ViolationStar,
                               ViolationStarStar, _enumerate_elements, divisor_theory,
                               extend_embedding, is_saturated, verify_divisor_axioms)
@@ -94,6 +96,205 @@ def test_axiom_two_fails_for_redundant_coordinate(monoid_469):
     assert report.failed_axiom == 2
     d1, d2 = report.witness
     assert d1 != d2
+
+
+def test_axiom_one_exact_where_the_scan_saw_axiom_two():
+    """tau(-4, 4) = (8, 0) >= 0 although (-4, 4) is not in M: an axiom-1
+    failure.  The depth-bounded scan met no such pair and reported the
+    axiom-2 collision ((1, 0), (0, 1)) instead."""
+    m = AffineMonoid(2, [(4, 2), (4, 3)])
+    report = verify_divisor_axioms(DivisorTheory(m, ((0, 2), (4, 1))), 8)
+    assert report == AxiomReport(False, 1, ((-4, 4), (8, 0)), 8)
+    assert not m.contains((-4, 4))
+
+
+def test_axiom_one_is_judged_in_the_generators_group():
+    # saturated in its own group 2ZZ x ZZ, though not in the given ZZ^2:
+    # axiom 1 holds, and the odd first coordinate breaks axiom 2
+    m = AffineMonoid(2, [(2, 0), (0, 1)], group_basis=[[1, 0], [0, 1]])
+    assert is_saturated(m) == (False, (1, 0))
+    report = verify_divisor_axioms(DivisorTheory(m, ((1, 0), (0, 1))), 8)
+    assert report == AxiomReport(False, 2, ((1, 0), (2, 0)), 8)
+    # the offending ray (1, -1) first meets the group 2ZZ^2 at (2, -2)
+    m = AffineMonoid(2, [(2, 0), (0, 2)], group_basis=[[1, 0], [0, 1]])
+    report = verify_divisor_axioms(DivisorTheory(m, ((1, 0), (1, 1))), 8)
+    assert report == AxiomReport(False, 1, ((2, -2), (2, 0)), 8)
+
+
+def test_axiom_two_gcd_witness():
+    # every image is even at coordinate 0: e_0 and 2 e_0 divide alike
+    m = AffineMonoid(1, [(1,)])
+    assert verify_divisor_axioms(DivisorTheory(m, ((2,),)), 0) == \
+        AxiomReport(False, 2, ((1,), (2,)), 0)
+    # the images vanishing at 0 leave coordinate 1 uncovered
+    report = verify_divisor_axioms(DivisorTheory(m, ((1,), (0,))), 3)
+    assert report == AxiomReport(False, 2, ((0, 1), (1, 1)), 3)
+    # a zero first functional: nothing is divisible by e_0 or by 2 e_0
+    m = AffineMonoid(2, [(1, 0), (0, 1)])
+    report = verify_divisor_axioms(DivisorTheory(m, ((0, 0), (1, 0), (0, 1))), 3)
+    assert report == AxiomReport(False, 2, ((1, 0, 0), (2, 0, 0)), 3)
+
+
+def test_functionals_must_live_on_the_monoids_span():
+    # a functional on ZZ^2 is not determined by the monoid on the x-axis
+    m = AffineMonoid(2, [(1, 0)])
+    with pytest.raises(ValueError, match="span"):
+        DivisorTheory(m, ((1, 0), (0, 1)), lattice_basis=((1, 0), (0, 1)))
+
+
+def test_axiom_one_failure_past_the_scan_depth():
+    """(1, 1, 0) is a hole of M in its group ZZ^3 with tau image (0, 0, 3).
+    The depth-bounded scan passed this monoid at every depth up to 17; it first
+    met a pair a - b outside M at depth 18."""
+    m = AffineMonoid(3, [(1, 1, 1), (2, 1, 3), (2, 3, 3), (3, 3, 0)])
+    dt = DivisorTheory(m, ((-3, 3, 1), (3, -3, 1), (3, 0, -2)))
+    for depth in (8, 18):
+        assert verify_divisor_axioms(dt, depth) == \
+            AxiomReport(False, 1, ((1, 1, 0), (0, 0, 3)), depth)
+    assert _reference_verify_divisor_axioms(dt, 8).ok
+    assert _reference_verify_divisor_axioms(dt, 18) == \
+        AxiomReport(False, 1, ((6, 6, 6), (2, 1, 3), (6, 0, 6)), 18)
+
+
+def test_axioms_do_not_depend_on_depth(dt_10_14_15_21):
+    reports = {d: verify_divisor_axioms(dt_10_14_15_21, d) for d in (0, 6, 10)}
+    assert {d: (r.ok, r.witness, r.depth) for d, r in reports.items()} == \
+        {d: (True, (), d) for d in (0, 6, 10)}
+
+
+# -- the exact axiom check against the depth-bounded scan ----------------------------
+#
+# The pair scan and divisibility-set buckets that verify_divisor_axioms ran
+# before it became exact, kept verbatim as the test-only reference.
+
+def _exists_multiple_avoiding(images, da, db):
+    """Exact decision: is there a monoid image v with v >= da but not
+    v >= db?  Any v splits, per coordinate j with v_j < db_j, into a
+    bounded combination of generators positive at j plus arbitrarily
+    many generators vanishing at j; the latter can cover any remaining
+    coordinate with a positive entry.  No search bound is needed.
+    """
+    r = len(da)
+    for j in range(r):
+        if da[j] >= db[j]:
+            continue  # the window [da_j, db_j) is empty
+        limit = db[j] - 1
+        tj = [im for im in images if im[j] > 0]
+        sj = [im for im in images if im[j] == 0]
+        cover = [any(im[i] > 0 for im in sj) for i in range(r)]
+
+        def feasible(idx, acc):
+            if acc[j] > limit:
+                return False
+            if idx == len(tj):
+                if acc[j] < da[j]:
+                    return False
+                return all(acc[i] >= da[i] or cover[i] for i in range(r))
+            im = tj[idx]
+            for c in range((limit - acc[j]) // im[j] + 1):
+                if feasible(idx + 1, tuple(a + c * b for a, b in zip(acc, im))):
+                    return True
+            return False
+
+        if feasible(0, (0,) * r):
+            return True
+    return False
+
+
+def _reference_verify_divisor_axioms(dt, depth):
+    """Bounded check of the two divisor-theory axioms.
+
+    Axiom 1: whenever tau(a) = tau(b) + c with c in the free monoid, c
+    is itself a tau-image.  Axiom 2: distinct free-monoid elements have
+    distinct divisibility sets inside the monoid.  Both quantifiers run
+    over coordinate sums <= depth, but an axiom-2 counterexample is only
+    reported after an exact (unbounded) confirmation that the two
+    divisibility sets coincide, so boundary truncation cannot produce
+    spurious reports.  A pass certifies the axioms up to depth only.
+    """
+    elements = _enumerate_elements(dt, depth)
+    # the enumeration is complete up to the depth bound (every generator
+    # image has coordinate sum >= 1), so image membership of a difference
+    # vector is a set lookup
+    tau_set = {e.tau for e in elements}
+    # axiom 1
+    for a in elements:
+        for b in elements:
+            if a is b:
+                continue
+            c = tuple(x - y for x, y in zip(a.tau, b.tau))
+            if any(x < 0 for x in c) or all(x == 0 for x in c):
+                continue
+            if c not in tau_set:
+                return AxiomReport(False, 1, (a.ambient, b.ambient, c), depth)
+    # axiom 2: group free-monoid elements by truncated divisibility sets,
+    # then confirm collisions exactly
+    r = dt.free_rank
+    gen_images = dt.generator_images()
+    by_set = {}
+    for total in range(0, depth + 1):
+        for d in la.compositions(total, r):
+            div = frozenset(e.tau for e in elements
+                            if all(x >= y for x, y in zip(e.tau, d)))
+            bucket = by_set.setdefault(div, [])
+            for other in bucket:
+                if not (_exists_multiple_avoiding(gen_images, other, d)
+                        or _exists_multiple_avoiding(gen_images, d, other)):
+                    return AxiomReport(False, 2, (other, d), depth)
+            bucket.append(d)
+    return AxiomReport(True, 0, (), depth)
+
+
+def _random_divisor_theory(rng):
+    """A monoid of group rank 1..3 with nonnegative generators (so its
+    cone is pointed), sometimes inside the larger group ZZ^n, and either
+    its facet normals or random nonnegative full-rank functionals."""
+    while True:
+        n = rng.randint(1, 3)
+        gens = {tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(1, n + 2))}
+        gens = sorted(g for g in gens if any(g))
+        if not gens:
+            continue
+        larger = la.rank(gens) == n and rng.random() < 0.3
+        m = AffineMonoid(n, gens, group_basis=la.identity(n) if larger else None)
+        normals = m.cone.facet_normals()
+        if rng.random() < 0.5:
+            return DivisorTheory(m, normals)
+        # nonnegative combinations of the facet normals are nonnegative on M
+        rows = [la.vec_mat([rng.randint(0, 2) for _ in normals], normals)
+                for _ in range(rng.randint(m.cone.dim, m.cone.dim + 2))]
+        if la.rank(rows) == m.cone.dim:
+            return DivisorTheory(m, rows)
+
+
+def test_exact_axioms_match_the_depth_scan_on_random_monoids():
+    rng = random.Random(20261018)
+    failed = {1: 0, 2: 0}
+    for _ in range(420):
+        dt = _random_divisor_theory(rng)
+        m = dt.monoid
+        report = verify_divisor_axioms(dt, 8)
+        if report.ok != _reference_verify_divisor_axioms(dt, 8).ok:
+            # the scan sees only pairs of coordinate sum <= 8: it may pass
+            # an axiom-1 failure, which the witness below then certifies
+            assert report.failed_axiom == 1, m.generators
+        if report.ok:
+            continue
+        failed[report.failed_axiom] += 1
+        if report.failed_axiom == 1:
+            x, tau_x = report.witness
+            assert la.lattice_coords(AffineMonoid(m.ambient_rank, m.generators).group_basis,
+                                     x) is not None
+            assert tau_x == dt.image(x) and min(tau_x) >= 0 and any(tau_x)
+            assert not m.contains(x)
+        else:
+            d1, d2 = report.witness
+            images = dt.generator_images()
+            assert d1 != d2
+            assert not _exists_multiple_avoiding(images, d1, d2)
+            assert not _exists_multiple_avoiding(images, d2, d1)
+    # both kinds of failure occur, and so do passes
+    assert min(failed.values()) > 0 and sum(failed.values()) < 420
 
 
 def test_extension_star_violation(dt_10_14_15_21):
@@ -205,6 +406,13 @@ def test_monoid_contains():
     assert m.contains((3, 1))
     assert not m.contains((1, 0))
     assert m.contains((0, 0))
+
+
+def test_contains_far_from_the_origin():
+    """Membership needs no stack frame per subtracted generator."""
+    assert AffineMonoid(1, [(1,)]).contains((5000,))
+    assert AffineMonoid(2, [(1, 0), (0, 1)]).contains((600, 600))
+    assert not AffineMonoid(1, [(2,)]).contains((4001,))
 
 
 def test_class_group(dt_469, dt_10_14_15_21):

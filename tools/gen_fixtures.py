@@ -71,8 +71,8 @@ FIXTURES = [
      {"ambient_rank": 2, "generators": [[2, 0], [0, 1]],
       "group_basis": [[1, 0], [0, 1]]}),
     ("check-axioms-4-6-9", "check-axioms",
-     "both divisor-theory axioms for the 4, 6, 9 monoid, exhaustively to "
-     "coordinate sum 6",
+     "both divisor-theory axioms for the 4, 6, 9 monoid, decided exactly; "
+     "the depth is only echoed",
      {"monoid": {"ambient_rank": 2, "generators": [[2, 0], [1, 1], [0, 2]]},
       "depth": 6}),
     ("check-axioms-redundant-coordinate", "check-axioms",
