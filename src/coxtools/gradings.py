@@ -191,43 +191,38 @@ class NormalizationResult:
     witness: str = ""
 
 
-_SEARCH_BOUND = 2
 _CANDIDATE_CAP = 20000
 
 
-def _free_blocks(group, pairs):
-    """Deterministic stream of integer free blocks F with F.u == w on the
-    free parts of the pairs (source GroupElem u, target GroupElem w).
+def _free_block(a, pairs):
+    """Decide the free block: an a x a integer F with F.u == w on the free
+    parts of the pairs (source GroupElem u, target GroupElem w).
 
-    The rows are solved exactly over the rationals; when underdetermined,
-    integer nullspace offsets with coefficients up to ``_SEARCH_BOUND``
-    are tried, and the stream stops after ``_CANDIDATE_CAP`` + 1 offsets.
+    Returns None when no integer F exists, False when integer F exist but
+    none is unimodular, and a unimodular F otherwise.  Let A and W have the
+    free parts of the sources and targets as columns, P.A.Q = S the Smith
+    form and r its rank.  For X = F.P^-1, F.A == W reads X.S == W.Q, so an
+    integer F exists exactly when s_j divides column j of W.Q for j < r and
+    the columns from r on vanish; X is unimodular exactly when F is, and its
+    first r columns C = (column j of W.Q) / s_j are fixed.  C extends to a
+    unimodular X exactly when every invariant factor of C is 1: with
+    P2.C.Q2 = S2, X = P2^-1.diag(Q2^-1, I) has first columns C.
     """
-    a = group.free_rank
     if a == 0:
-        yield ()
-        return
-    src = [u.free for u, _ in pairs]
-    rows = [la.solve(src, [w.free[r] for _, w in pairs]) if src else (0,) * a for r in range(a)]
-    if None in rows:
-        return
-    null = la.nullspace(src) if src else la.identity(a)
-    offsets = [()] if not null else itertools.product(
-        range(-_SEARCH_BOUND, _SEARCH_BOUND + 1), repeat=len(null))
-    for count, combo in enumerate(offsets, 1):
-        cand = []
-        for r in range(a):
-            row = list(rows[r])
-            for cidx, coeff in enumerate(combo):
-                if coeff:
-                    row = [x + coeff * y for x, y in zip(row, null[cidx])]
-            if any(x.denominator != 1 for x in row):
-                break
-            cand.append(tuple(int(x) for x in row))
-        else:
-            yield tuple(cand)
-        if count > _CANDIDATE_CAP:
-            return
+        return ()
+    s, p, q = la.snf([[u.free[i] for u, _ in pairs] for i in range(a)])
+    wq = la.mat_mul([[w.free[i] for _, w in pairs] for i in range(a)], q)
+    diag = [s[j][j] for j in range(min(a, len(pairs))) if s[j][j]]
+    r = len(diag)
+    if any(x % diag[j] if j < r else x for row in wq for j, x in enumerate(row)):
+        return None
+    if r == 0:
+        return p
+    s2, p2, q2 = la.snf([[x // d for x, d in zip(row, diag)] for row in wq])
+    if any(s2[j][j] != 1 for j in range(r)):
+        return False
+    completion = [row + (0,) * (a - r) for row in la.inverse_int(q2)] + list(la.identity(a)[r:])
+    return la.mat_mul(la.mat_mul(la.inverse_int(p2), completion), p)
 
 
 def _torsion_bijective(torsion, tm):
@@ -246,21 +241,23 @@ def _degree_automorphism(group, pairs):
 
     phi0 is an automorphism exactly when its free block F is unimodular and
     its torsion block T bijective.  F is constrained only by the free parts
-    of the pairs and the blocks (M, T) only by the torsion parts, so phi0 is
-    the first unimodular F of ``_free_blocks`` with the first matching (M, T)
-    whose T is bijective, and each half is searched once.  The torsion
-    blocks are enumerated exhaustively, guarded by ``_CANDIDATE_CAP``.
+    of the pairs and the blocks (M, T) only by the torsion parts, so the two
+    halves are decided apart.  The free half is exact: with P.A.Q = S the
+    Smith form of the sources' free parts A, a unimodular F with F.A == W
+    exists exactly when every s_j divides column j of W.Q (0 divides only 0)
+    and the quotient columns C have every invariant factor 1, since F.P^-1
+    is then a unimodular matrix whose first columns are C (``_free_block``).
+    phi0 is that F with the first matching (M, T) whose T is bijective; the
+    torsion blocks are enumerated exhaustively, guarded by ``_CANDIDATE_CAP``.
     """
     a, torsion = group.free_rank, group.torsion
     t = len(torsion)
-    blocks = _free_blocks(group, pairs)
-    first = next(blocks, None)
-    if first is None:
+    fm = _free_block(a, pairs)
+    if fm is None:
         return None
     if group.torsion_order ** (a + t) > _CANDIDATE_CAP:
         raise ValueError("torsion search space too large")
-    fm = next((f for f in itertools.chain((first,), blocks) if abs(la.det_int(f)) == 1), None)
-    if fm is None:
+    if fm is False:
         return None
     for flat in itertools.product(*(range(torsion[i]) for i in range(t) for _ in range(a + t))):
         mixed = tuple(tuple(flat[i * (a + t) + j] for j in range(a)) for i in range(t))

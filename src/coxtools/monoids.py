@@ -441,8 +441,10 @@ def extend_embedding(dt, alpha, depth=DEFAULT_DEPTH):
     alpha_gen_images = tuple(alpha.image(g) for g in gens)
 
     # condition (*): s in alpha(monoid) is decided exactly, since every
-    # alpha-image of a generator is nonnegative and nonzero
+    # alpha-image of a generator is nonnegative and nonzero; each distinct
+    # difference s is decided once
     nonunit = elements[1:]
+    represented = {}
     for a in nonunit:
         for b in nonunit:
             if a is b:
@@ -450,7 +452,9 @@ def extend_embedding(dt, alpha, depth=DEFAULT_DEPTH):
             s = tuple(x - y for x, y in zip(a.alpha, b.alpha))
             if any(x < 0 for x in s) or all(x == 0 for x in s):
                 continue
-            if not _represents(s, alpha_gen_images, lambda x: min(x) >= 0):
+            if s not in represented:
+                represented[s] = _represents(s, alpha_gen_images, lambda x: min(x) >= 0)
+            if not represented[s]:
                 return ViolationStar(a.ambient, b.ambient, s)
 
     def coprime(es):

@@ -9,7 +9,7 @@ import pytest
 
 from coxtools import intlinalg as la
 from coxtools.gradings import (AbGroup, DependsOnTargetError, GradedEndo, GradedRing,
-                               GroupElem, _CANDIDATE_CAP, _SEARCH_BOUND, _torsion_bijective,
+                               GroupElem, _CANDIDATE_CAP, _free_block, _torsion_bijective,
                                ImagesNotHomogeneousError, NotElementaryError,
                                NotHomogeneousError, NotHomogeneousShearError,
                                SingularLinearError, ZERO_DEGREE, anick_automorphism,
@@ -355,6 +355,9 @@ class _ReferenceEndo:
         return True
 
 
+_SEARCH_BOUND = 2  # the former box of nullspace offsets, per coordinate
+
+
 def _reference_candidates(group, pairs):
     a, t = group.free_rank, len(group.torsion)
     free_solutions = []
@@ -503,13 +506,102 @@ def _seeded_cases(seed, count):
         yield group, sources, targets
 
 
-def test_two_half_search_matches_the_nested_search():
-    kinds = Counter()
-    for group, sources, targets in _seeded_cases(0, 300):
+def _seeded_outcomes(seed, count):
+    """Per seeded case: the group, whether the sources' free parts determine
+    F (they span ZZ^a, so F is unique), the pairs, and both outcomes."""
+    for group, sources, targets in _seeded_cases(seed, count):
+        pairs = [(u, w) for u, w in zip(sources, targets) if w is not ZERO_DEGREE]
+        src = [u.free for u, _ in pairs]
+        determined = not group.free_rank or bool(src) and la.rank(src) == group.free_rank
         expected = _outcome(lambda: _reference_classify(group, sources, targets))
-        assert _new_outcome(group, sources, targets) == expected, (group, sources, targets)
-        kinds[expected[0]] += 1
+        yield group, determined, pairs, expected, _new_outcome(group, sources, targets)
+
+
+def test_two_half_search_matches_the_nested_search():
+    """Where F is unique both searches agree exactly, kind and phi0."""
+    kinds = Counter()
+    for group, determined, pairs, expected, got in _seeded_outcomes(0, 300):
+        if determined:
+            assert got == expected, pairs
+            kinds[expected[0]] += 1
     assert kinds["preserves"] and kinds["normalizes"] > 50 and kinds["neither"] > 50
+
+
+def test_underdetermined_free_part_keeps_and_extends_the_nested_search():
+    """Where F is not unique the reference tried one offset for all rows
+    within +-2, so it can miss a unimodular F.  No verdict it reached is
+    lost, and every phi0 found is an automorphism matching the pairs."""
+    changes = Counter()
+    for group, determined, pairs, expected, got in _seeded_outcomes(0, 300):
+        if determined or got == expected:
+            continue
+        if got[0] == "normalizes":
+            endo = _ReferenceEndo(group, *got[1])
+            assert endo.is_automorphism() and all(endo.apply(u) == w for u, w in pairs)
+        changes[expected[0], got[0]] += 1
+    # a "normalizes" with another phi0, and "neither" turned "normalizes"
+    assert changes == {("normalizes", "normalizes"): 3, ("neither", "normalizes"): 12}
+
+
+def test_zero_image_over_an_underdetermined_free_part_normalizes():
+    """Over ZZ^2 with degrees (1,0) and (1,1), y1 -> y2, y2 -> 0 asks only
+    F.(1,0) == (1,1), and the unimodular F = [[1,0],[1,1]] does it."""
+    g = AbGroup(2)
+    ring = GradedRing(g, (g.element((1, 0)), g.element((1, 1))))
+    res = check_normalizes(GradedEndo(ring, parse_map(["y2", "0"], ["y1", "y2"])))
+    assert res.kind == "normalizes"
+    assert res.phi0.free_matrix == ((1, 0), (1, 1))
+
+
+def test_torsion_swap_normalizes_over_a_free_part_of_rank_two():
+    """y1 <-> y2 graded by the torsion-only degrees (0;1,0), (0;0,1) of
+    ZZ^2 + (ZZ/2)^2: the free parts are zero, so F = I, and T swaps."""
+    g = AbGroup(2, (2, 2))
+    ring = GradedRing(g, (g.element((0, 0), (1, 0)), g.element((0, 0), (0, 1))))
+    res = check_normalizes(GradedEndo(ring, parse_map(["y2", "y1"], ["y1", "y2"])))
+    assert res.kind == "normalizes"
+    assert (res.phi0.free_matrix, res.phi0.mixed, res.phi0.torsion_matrix) == (
+        ((1, 0), (0, 1)), ((0, 0), (0, 0)), ((0, 1), (1, 0)))
+
+
+def _box_free_blocks(a, pairs, bound=3):
+    """Every a x a F with entries in [-bound, bound] and F.u == w on the
+    pairs: row i meets the i-th target coordinates alone, so the blocks
+    are the product of each row's solutions in the box."""
+    box = list(itertools.product(range(-bound, bound + 1), repeat=a))
+    return itertools.product(*(
+        [row for row in box if all(la.dot(row, u.free) == w.free[i] for u, w in pairs)]
+        for i in range(a)))
+
+
+def test_free_block_agrees_with_a_brute_force_box():
+    """A unimodular F in the box [-3, 3] means "unimodular", any integer F
+    there rules out "none", and every F returned is unimodular with F.u == w;
+    odd cases take their targets from a random automorphism."""
+    rng = random.Random(5)
+    verdicts = Counter()
+    for k in range(1500):
+        group = AbGroup(rng.randint(1, 2))
+        sources = [_random_element(rng, group) for _ in range(rng.randint(1, 3))]
+        if k % 2:
+            phi = _random_automorphism(rng, group)
+            targets = [phi.apply(u) for u in sources]
+        else:
+            targets = [_random_element(rng, group) for _ in sources]
+        pairs = list(zip(sources, targets))
+        fm = _free_block(group.free_rank, pairs)
+        box = list(_box_free_blocks(group.free_rank, pairs))
+        if fm is None:
+            assert not box, pairs
+            verdicts["none"] += 1
+        elif fm is False:
+            assert not any(abs(la.det_int(f)) == 1 for f in box), pairs
+            verdicts["integer only"] += 1
+        else:
+            assert all(la.mat_vec(fm, u.free) == w.free for u, w in pairs)
+            assert abs(la.det_int(fm)) == 1
+            verdicts["unimodular"] += 1
+    assert verdicts == {"unimodular": 859, "integer only": 78, "none": 563}
 
 
 def test_oversized_torsion_space_still_raises_without_a_unimodular_block():

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from coxtools import intlinalg as la
+from coxtools import monoids
 from coxtools.cones import NonPointedError
 from coxtools.monoids import (AffineMonoid, AxiomReport, Beta, DivisorTheory, MonoidHom,
                               NotAnEmbedding, NotSaturatedError, ViolationStar,
@@ -384,6 +385,22 @@ def test_extension_beta_uniqueness_small_kernel_search(dt_10_14_15_21, monoid_10
         if all(la.mat_vec(cand, im) == la.mat_vec(beta, im) for im in images):
             found.append(cand)
     assert found == [beta]
+
+
+def test_extension_decides_each_star_difference_once(monkeypatch):
+    """N -> N by x -> 2x at depth 60: the pairs of elements 1..60 give 1770
+    positive differences s but only the 59 distinct ones 2, 4, ..., 118."""
+    dt = divisor_theory(AffineMonoid(1, [(1,)]))
+    calls = []
+    represents = monoids._represents
+
+    def counted(t, vectors, inside):
+        calls.append(t)
+        return represents(t, vectors, inside)
+
+    monkeypatch.setattr(monoids, "_represents", counted)
+    assert extend_embedding(dt, MonoidHom([["2"]]), depth=60) == Beta(((2,),))
+    assert sorted(calls) == [(2 * d,) for d in range(1, 60)]
 
 
 def test_not_an_embedding():
