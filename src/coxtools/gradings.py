@@ -14,6 +14,7 @@ contradiction through the Jacobian determinant.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -242,32 +243,30 @@ def _degree_automorphism(group, pairs):
     phi0 is an automorphism exactly when its free block F is unimodular and
     its torsion block T bijective.  F is constrained only by the free parts
     of the pairs and the blocks (M, T) only by the torsion parts, so the two
-    halves are decided apart.  The free half is exact: with P.A.Q = S the
-    Smith form of the sources' free parts A, a unimodular F with F.A == W
-    exists exactly when every s_j divides column j of W.Q (0 divides only 0)
-    and the quotient columns C have every invariant factor 1, since F.P^-1
-    is then a unimodular matrix whose first columns are C (``_free_block``).
-    phi0 is that F with the first matching (M, T) whose T is bijective; the
-    torsion blocks are enumerated exhaustively, guarded by ``_CANDIDATE_CAP``.
+    halves are decided apart, the free half first and exactly (``_free_block``).
+    Row i of (M | T) lives mod d_i and meets only the i-th torsion coordinates
+    of the pairs, and T[i][j] * d_j == 0 mod d_i exactly when d_i / gcd(d_i, d_j)
+    divides T[i][j].  So each row's solutions are listed once, in ascending
+    order, and their product is walked for the first bijective T: the walk is
+    the row-major order of all blocks (M, T), so phi0 is the first match in it.
+    ValueError means more than ``_CANDIDATE_CAP`` row candidates or matching blocks.
     """
     a, torsion = group.free_rank, group.torsion
-    t = len(torsion)
     fm = _free_block(a, pairs)
-    if fm is None:
+    if fm is None or fm is False:
         return None
-    if group.torsion_order ** (a + t) > _CANDIDATE_CAP:
+    ranges = [[range(d)] * a + [range(0, d, d // math.gcd(d, e)) for e in torsion] for d in torsion]
+    if sum(math.prod(map(len, rng)) for rng in ranges) > _CANDIDATE_CAP:
         raise ValueError("torsion search space too large")
-    if fm is False:
-        return None
-    for flat in itertools.product(*(range(torsion[i]) for i in range(t) for _ in range(a + t))):
-        mixed = tuple(tuple(flat[i * (a + t) + j] for j in range(a)) for i in range(t))
-        tm = tuple(tuple(flat[i * (a + t) + a + j] for j in range(t)) for i in range(t))
-        # the torsion matrix must define homomorphisms ZZ/d_j -> ZZ/d_i
-        if any((tm[i][j] * torsion[j]) % torsion[i] for i in range(t) for j in range(t)):
-            continue
-        if all((la.dot(mixed[i], u.free) + la.dot(tm[i], u.torsion)) % torsion[i] == w.torsion[i]
-               for u, w in pairs for i in range(t)) and _torsion_bijective(torsion, tm):
-            return DegreeEndo(group, fm, mixed, tm)
+    rows = [[r for r in itertools.product(*rng)
+             if all((la.dot(r, u.free + u.torsion) - w.torsion[i]) % d == 0 for u, w in pairs)]
+            for i, (d, rng) in enumerate(zip(torsion, ranges))]
+    if math.prod(map(len, rows)) > _CANDIDATE_CAP:
+        raise ValueError("torsion search space too large")
+    for block in itertools.product(*rows):
+        tm = tuple(r[a:] for r in block)
+        if _torsion_bijective(torsion, tm):
+            return DegreeEndo(group, fm, tuple(r[:a] for r in block), tm)
     return None
 
 
@@ -276,7 +275,8 @@ def check_normalizes(e):
 
     Returns ``preserves`` when every image has its variable's degree,
     ``normalizes`` with the induced group automorphism when one exists,
-    and ``neither`` otherwise.
+    and ``neither`` otherwise.  Raises ValueError when the torsion half has
+    more than ``_CANDIDATE_CAP`` row candidates or matching blocks.
     """
     ring = e.ring
     pairs = [(vd, d) for vd, d in zip(ring.var_degrees, e.image_degrees) if d is not ZERO_DEGREE]

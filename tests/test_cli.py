@@ -384,6 +384,18 @@ def test_explicit_torsion_grading(tmp_path):
     assert json.loads(out) == {"images": ["y2^2*y3 + y1", "y2", "y3"]}
 
 
+def test_verify_lift_over_a_torsion_class_group(tmp_path):
+    """The class group of this quotient cone is (ZZ/2)^4; phi swaps y4 and y5."""
+    payload = {"cone": {"ambient_rank": 5,
+                        "rays": [[1, 0, 0, 0, 0], [1, 0, 0, 0, 2], [1, 0, 0, 2, 0],
+                                 [1, 0, 2, 0, 0], [1, 2, 0, 0, 0]]},
+               "psi": ["x1", "x2", "x4", "x3", "x5", "x6"],
+               "phi": ["y1", "y2", "y3", "y5", "y4"]}
+    p = tmp_path / "lift.json"
+    p.write_text(json.dumps(payload))
+    assert run_cli(["verify-lift", str(p)]) == (0, '{"ok":true}\n')
+
+
 def test_pretty_flag():
     path = FIXTURE_DIR / "pullback-quadric.json"
     _, out = run_cli(["pullback", str(path), "--pretty"])

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -492,10 +493,10 @@ def _random_element(rng, group):
 TORSIONS = [(), (2,), (3,), (2, 2), (2, 4), (6,)]
 
 
-def _seeded_cases(seed, count):
+def _seeded_cases(seed, count, torsions=TORSIONS, max_free_rank=2):
     rng = random.Random(seed)
     for k in range(count):
-        group = AbGroup(rng.randint(0, 2), rng.choice(TORSIONS))
+        group = AbGroup(rng.randint(0, max_free_rank), rng.choice(torsions))
         sources = tuple(_random_element(rng, group) for _ in range(rng.randint(0, 3)))
         if k % 2:
             phi = _random_automorphism(rng, group)
@@ -506,10 +507,10 @@ def _seeded_cases(seed, count):
         yield group, sources, targets
 
 
-def _seeded_outcomes(seed, count):
+def _seeded_outcomes(seed, count, **shape):
     """Per seeded case: the group, whether the sources' free parts determine
     F (they span ZZ^a, so F is unique), the pairs, and both outcomes."""
-    for group, sources, targets in _seeded_cases(seed, count):
+    for group, sources, targets in _seeded_cases(seed, count, **shape):
         pairs = [(u, w) for u, w in zip(sources, targets) if w is not ZERO_DEGREE]
         src = [u.free for u, _ in pairs]
         determined = not group.free_rank or bool(src) and la.rank(src) == group.free_rank
@@ -604,15 +605,90 @@ def test_free_block_agrees_with_a_brute_force_box():
     assert verdicts == {"unimodular": 859, "integer only": 78, "none": 563}
 
 
-def test_oversized_torsion_space_still_raises_without_a_unimodular_block():
-    """Free solutions exist but none is unimodular (F = (2)), and the
-    torsion space 16^5 is over the cap: both searches raise."""
+def test_oversized_torsion_space_without_a_unimodular_block_is_neither():
+    """Free solutions exist but none is unimodular (F = (2)).  The nested
+    search raises on the torsion space 16^5, over the cap; the free half is
+    read first, so the answer is "neither" whatever the torsion space."""
     group = AbGroup(1, (2, 2, 2, 2))
     u, w = group.element((1,), (0,) * 4), group.element((2,), (0,) * 4)
     assert group.torsion_order ** 5 > _CANDIDATE_CAP
     expected = ("raised", "torsion search space too large")
     assert _outcome(lambda: _reference_classify(group, (u,), (w,))) == expected
-    assert _new_outcome(group, (u,), (w,)) == expected
+    assert _new_outcome(group, (u,), (w,)) == ("neither", None)
+
+
+def _unit(group, i):
+    return group.element((0,) * group.free_rank,
+                         [int(j == i) for j in range(len(group.torsion))])
+
+
+def test_torsion_swap_over_z2_to_the_fourth_normalizes():
+    """y1 <-> y2 graded by e1, e2 of (ZZ/2)^4: 16^4 blocks in all, but each
+    row has 4 solutions.  The first bijective T in row-major order also
+    swaps e3 and e4."""
+    g = AbGroup(0, (2, 2, 2, 2))
+    ring = GradedRing(g, (_unit(g, 0), _unit(g, 1)))
+    res = check_normalizes(GradedEndo(ring, parse_map(["y2", "y1"], ["y1", "y2"])))
+    assert res.kind == "normalizes"
+    assert (res.phi0.free_matrix, res.phi0.mixed, res.phi0.torsion_matrix) == (
+        (), ((), (), (), ()), ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0)))
+
+
+def test_torsion_element_sent_to_zero_over_z2_to_the_fourth_is_neither():
+    """e1 -> 0 in (ZZ/2)^4: every row must vanish on e1, so T is singular;
+    the 8^4 matching blocks are walked and none is bijective."""
+    g = AbGroup(0, (2, 2, 2, 2))
+    assert _new_outcome(g, (_unit(g, 0),), (g.zero(),)) == ("neither", None)
+
+
+def test_torsion_caps_still_raise():
+    """The listing cap: each row of (ZZ/150)^2 has 150^2 candidates.  The
+    walk cap: over ZZ + (ZZ/2)^4, (0; e1) -> 0 leaves F free and 16 solutions
+    per row, 16^4 matching blocks."""
+    expected = ("raised", "torsion search space too large")
+    g = AbGroup(0, (150, 150))
+    assert _new_outcome(g, (_unit(g, 0),), (_unit(g, 1),)) == expected
+    g = AbGroup(1, (2, 2, 2, 2))
+    assert _new_outcome(g, (_unit(g, 0),), (g.zero(),)) == expected
+
+
+def test_torsion_neither_over_z3_cubed_is_listed_row_by_row():
+    """e1, e2, e3 -> e1, e1, e3 in (ZZ/3)^3 is "neither" (T sends e1 - e2
+    to 0).  The nested search reaches the same verdict, so this pins speed,
+    not a verdict: 3 rows of 27 candidates instead of 27^3 blocks."""
+    g = AbGroup(0, (3, 3, 3))
+    src = tuple(_unit(g, i) for i in range(3))
+    start = time.perf_counter()
+    assert _new_outcome(g, src, (src[0], src[0], src[2])) == ("neither", None)
+    assert time.perf_counter() - start < 0.05
+
+
+LARGE_TORSIONS = [(2, 2, 2), (2, 2, 4), (3, 3), (2, 2, 2, 2), (4, 4), (3, 9), (3, 3, 3),
+                  (2, 4, 8)]
+
+
+def test_row_listing_matches_the_nested_search_on_larger_torsion():
+    """Where F is unique and the nested search answers, both agree exactly.
+    Where it raises, the new answer is the same raise, "neither", or a phi0
+    that is an automorphism matching every pair, which is also the only
+    change allowed where F is not unique (the offset box, as above)."""
+    changes, kinds = Counter(), Counter()
+    for group, determined, pairs, expected, got in _seeded_outcomes(
+            42, 150, torsions=LARGE_TORSIONS, max_free_rank=1):
+        kinds[expected[0]] += 1
+        if got == expected:
+            continue
+        assert expected[0] == "raised" or not determined, pairs
+        if got[0] == "normalizes":
+            endo = _ReferenceEndo(group, *got[1])
+            assert endo.is_automorphism() and all(endo.apply(u) == w for u, w in pairs)
+        else:
+            assert expected[0] == "raised" and got[0] in ("raised", "neither"), pairs
+        changes[expected[0], got[0]] += 1
+    assert kinds == {"preserves": 43, "normalizes": 40, "neither": 33, "raised": 34}
+    # 29 of the 34 raises answered; two underdetermined F found another phi0
+    assert changes == {("raised", "normalizes"): 23, ("raised", "neither"): 6,
+                       ("normalizes", "normalizes"): 2}
 
 
 def test_smith_form_bijectivity_matches_residue_enumeration():

@@ -165,6 +165,20 @@ def test_verify_lift_with_torsion_grading():
     assert not verify_lift(cd, psi, ident)
 
 
+def test_verify_lift_over_a_class_group_z2_to_the_fourth():
+    """The quotient cone with rays e1 and e1 + 2*e_k (k = 2..5) has class
+    group (ZZ/2)^4; swapping y4 and y5 lifts the swap of x3 and x4."""
+    cd = cox_data(Cone(5, [(1, 0, 0, 0, 0), (1, 0, 0, 0, 2), (1, 0, 0, 2, 0),
+                           (1, 0, 2, 0, 0), (1, 2, 0, 0, 0)]))
+    assert cd.graded_ring.group == AbGroup(0, (2, 2, 2, 2))
+    xs = [f"x{i}" for i in range(1, 7)]
+    psi = [parse_poly(s, xs) for s in ["x1", "x2", "x4", "x3", "x5", "x6"]]
+    ys = [f"y{i}" for i in range(1, 6)]
+    phi = GradedEndo(cd.graded_ring, parse_map(["y1", "y2", "y3", "y5", "y4"], ys))
+    assert verify_lift(cd, psi, phi)
+    assert not verify_lift(cd, psi, GradedEndo(cd.graded_ring, PolyMap.identity(5)))
+
+
 def test_respects_relations(quadric):
     rel = parse_poly("x1*x4-x2*x3", XS)
     tau = [parse_poly(s, XS) for s in TAU_CANON]
