@@ -5,6 +5,9 @@ wrapper carrying a ``payload`` field), computes, and prints canonical
 JSON: sorted keys, and every integer rendered as a decimal string so
 arbitrary precision survives transport.  Exit codes: 0 success (a found
 violation is a success), 1 domain error, 2 malformed input.
+
+Each handler and decoder imports the library modules it uses when it
+runs, so a cold process loads only its subcommand's modules.
 """
 
 import argparse
@@ -12,20 +15,6 @@ import json
 import sys
 from fractions import Fraction
 
-from .cones import Cone
-from .cyclotomic import CycloNum
-from .gradings import (AbGroup, GradedEndo, GradedRing, quadric_grading, shear_family,
-                       shear_map, wildness_certificate, NotZeta)
-from .monoids import (AffineMonoid, Beta, DivisorTheory, MonoidHom, NotSaturatedError,
-                      ViolationStar, ViolationStarStar, divisor_theory, extend_embedding,
-                      is_saturated, verify_divisor_axioms, DEFAULT_DEPTH)
-from .polynomials import PolyMap, compose_chain, jacobian, parse_poly, poly_det
-from .quotients import (ClosureCapExceededError, DEFAULT_CAP, close_group, quotient_report,
-                        reynolds_invariants)
-from .toric import cox_data, pullback, verify_lift
-
-# every domain error of the package subclasses ValueError, except the closure cap
-DOMAIN_ERRORS = (ValueError, ClosureCapExceededError, ZeroDivisionError)
 # CycloNum builds the n-th cyclotomic polynomial by dividing x^n - 1 through
 # every lower cyclotomic factor; the fixtures and tests use conductors <= 24
 MAX_CONDUCTOR = 1000
@@ -117,10 +106,12 @@ def _fraction_matrix(x):
 
 
 def _load(path):
+    # ValueError covers bad JSON, bad UTF-8 and a number past Python's digit
+    # limit; RecursionError covers arrays nested past the recursion limit
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     if isinstance(doc, dict) and "payload" in doc:
         doc = doc["payload"]
@@ -136,6 +127,7 @@ def _require(doc, key):
 
 
 def _decode_monoid(doc):
+    from .monoids import AffineMonoid
     rank = _as_int(_require(doc, "ambient_rank"))
     gens = _int_matrix(_require(doc, "generators"), rank)
     basis = _int_matrix(doc["group_basis"], rank) if doc.get("group_basis") else None
@@ -143,6 +135,7 @@ def _decode_monoid(doc):
 
 
 def _decode_cone(doc):
+    from .cones import Cone
     rank = _as_int(_require(doc, "ambient_rank"))
     rays = _int_matrix(_require(doc, "rays"), rank)
     lattice = _int_matrix(doc["lattice"], rank) if doc.get("lattice") else None
@@ -150,6 +143,7 @@ def _decode_cone(doc):
 
 
 def _decode_grading(doc):
+    from .gradings import AbGroup, GradedRing, quadric_grading
     if doc is None:
         return quadric_grading()
     rank = _at_least(_as_int(_require(doc, "free_rank")), 0, "free_rank")
@@ -187,6 +181,7 @@ def _var_names(doc, count=None):
 def _poly(text, names):
     if not isinstance(text, str):
         raise InputError(f"expected a polynomial string, got {type(text).__name__}")
+    from .polynomials import parse_poly
     return parse_poly(text, names)
 
 
@@ -201,6 +196,7 @@ def _variable(x, index_of):
 
 
 def _decode_cyclo_entry(value, conductor):
+    from .cyclotomic import CycloNum
     if isinstance(value, list):
         return CycloNum(conductor, tuple(_as_fraction(c) for c in value))
     return CycloNum.rational(conductor, _as_fraction(value))
@@ -218,6 +214,7 @@ def _depth(args, doc, default):
 
 
 def _cap(args):
+    from .quotients import DEFAULT_CAP
     return _at_least(DEFAULT_CAP if args.cap is None else args.cap, 1, "cap")
 
 
@@ -269,12 +266,14 @@ def cmd_parse_poly(doc, args):
 
 
 def cmd_saturate(doc, args):
+    from .monoids import is_saturated
     m = _decode_monoid(doc)
     sat, witness = is_saturated(m)
     return {"saturated": sat, "witness": list(witness) if witness else None}
 
 
 def cmd_divisor_theory(doc, args):
+    from .monoids import divisor_theory
     m = _decode_monoid(doc)
     dt = divisor_theory(m)
     return {
@@ -287,6 +286,7 @@ def cmd_divisor_theory(doc, args):
 
 
 def cmd_check_axioms(doc, args):
+    from .monoids import DivisorTheory, divisor_theory, verify_divisor_axioms
     m = _decode_monoid(_require(doc, "monoid"))
     depth = _depth(args, doc, 6)
     if doc.get("ambient_functionals"):
@@ -303,6 +303,8 @@ def cmd_check_axioms(doc, args):
 
 
 def cmd_extend(doc, args):
+    from .monoids import (DEFAULT_DEPTH, Beta, MonoidHom, ViolationStar, ViolationStarStar,
+                          divisor_theory, extend_embedding)
     m = _decode_monoid(_require(doc, "monoid"))
     dt = divisor_theory(m)
     alpha = MonoidHom(_fraction_matrix(_require(_require(doc, "alpha"), "matrix")))
@@ -321,6 +323,7 @@ def cmd_extend(doc, args):
 
 
 def cmd_cox_data(doc, args):
+    from .toric import cox_data
     c = _decode_cone(doc)
     cd = cox_data(c)
     return {
@@ -336,12 +339,16 @@ def cmd_cox_data(doc, args):
 
 
 def cmd_pullback(doc, args):
+    from .toric import cox_data, pullback
     cd = cox_data(_decode_cone(_require(doc, "cone")))
     u = _int_vector(_require(doc, "character"))
     return {"monomial": pullback(cd, u).render()}
 
 
 def cmd_verify_lift(doc, args):
+    from .gradings import GradedEndo
+    from .polynomials import PolyMap
+    from .toric import cox_data, verify_lift
     cd = cox_data(_decode_cone(_require(doc, "cone")))
     k = len(cd.characters)
     xnames = [f"x{i + 1}" for i in range(k)]
@@ -355,6 +362,7 @@ def cmd_verify_lift(doc, args):
 
 
 def cmd_compose(doc, args):
+    from .polynomials import PolyMap, compose_chain
     n = _at_least(_as_int(_require(doc, "num_vars")), 1, "num_vars")
     names = _var_names(doc, n)
     maps = [_polys(images, names) for images in _list(_require(doc, "maps"), "a list of maps")]
@@ -367,6 +375,7 @@ def cmd_compose(doc, args):
 
 
 def cmd_jacobian(doc, args):
+    from .polynomials import PolyMap, jacobian, poly_det
     images = _list(_require(doc, "images"), "a list of polynomials")
     if not images:
         raise InputError("a map needs at least one image")
@@ -381,6 +390,7 @@ def cmd_jacobian(doc, args):
 
 
 def cmd_wildness_cert(doc, args):
+    from .gradings import NotZeta, shear_map, wildness_certificate
     ring = _decode_grading(doc.get("grading"))
     names = _var_names(doc, ring.num_vars)
     index_of = {n: i for i, n in enumerate(names)}
@@ -401,6 +411,7 @@ def cmd_wildness_cert(doc, args):
 
 
 def cmd_shear_family(doc, args):
+    from .gradings import shear_family
     ring = _decode_grading(doc.get("grading"))
     names = _var_names(doc, ring.num_vars)
     index_of = {n: i for i, n in enumerate(names)}
@@ -413,6 +424,7 @@ def cmd_shear_family(doc, args):
 
 
 def cmd_quotient_report(doc, args):
+    from .quotients import close_group, quotient_report
     conductor, gens = _decode_group(doc)
     group = close_group(gens, conductor=conductor, cap=_cap(args))
     rep = quotient_report(group)
@@ -428,6 +440,7 @@ def cmd_quotient_report(doc, args):
 
 
 def cmd_reynolds(doc, args):
+    from .quotients import close_group, reynolds_invariants
     conductor, gens = _decode_group(_require(doc, "group"))
     degree = _at_least(_as_int(_require(doc, "degree")), 1, "degree")
     group = close_group(gens, conductor=conductor, cap=_cap(args))
@@ -481,11 +494,16 @@ def main(argv=None):
     except InputError as exc:
         emit({"error": "malformed_input", "detail": str(exc)}, args.pretty)
         return 2
-    except NotSaturatedError as exc:
-        emit({"error": "not_saturated", "witness": list(exc.witness),
-              "detail": str(exc)}, args.pretty)
-        return 1
-    except DOMAIN_ERRORS as exc:
+    except Exception as exc:
+        # imported only when a handler raises: a run that succeeds loads
+        # no module beyond its subcommand's own
+        from .errors import DOMAIN_ERRORS, NotSaturatedError
+        if isinstance(exc, NotSaturatedError):
+            emit({"error": "not_saturated", "witness": list(exc.witness),
+                  "detail": str(exc)}, args.pretty)
+            return 1
+        if not isinstance(exc, DOMAIN_ERRORS):
+            raise
         emit({"error": type(exc).__name__, "detail": str(exc)}, args.pretty)
         return 1
     emit(result, args.pretty)

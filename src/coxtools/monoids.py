@@ -28,16 +28,9 @@ from math import gcd, lcm
 
 from . import intlinalg as la
 from .cones import Cone, NonPointedError, _dual_extreme_rays, _inside, cone_contains, hilbert_basis
+from .errors import NotSaturatedError
 
 DEFAULT_DEPTH = 8
-
-
-class NotSaturatedError(ValueError):
-    """Raised when a divisor theory is requested for a non-saturated monoid."""
-
-    def __init__(self, witness):
-        super().__init__(f"monoid is not saturated; missing lattice point {witness}")
-        self.witness = witness
 
 
 class DepthInsufficientError(ValueError):

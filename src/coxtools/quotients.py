@@ -13,14 +13,11 @@ common fixed space (the image of the Reynolds operator).
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import intlinalg as la
 from .cyclotomic import CycloNum
-
-
-class ClosureCapExceededError(RuntimeError):
-    pass
+from .errors import ClosureCapExceededError
 
 
 class NotInvertibleError(ValueError):
@@ -169,15 +166,10 @@ def pseudoreflections(group):
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class QuotientReport:
-    order_g: int
-    order_h: int
-    order_h_tilde: int
-    f_abelian: bool
-    commutant_order: int
-    n_invariants: tuple
-    is_toric: bool
+# a namedtuple keeps dataclasses (and inspect) off the cold path of the
+# quotient commands; the groups benchmark hashes its repr
+QuotientReport = namedtuple("QuotientReport", ["order_g", "order_h", "order_h_tilde", "f_abelian",
+                                               "commutant_order", "n_invariants", "is_toric"])
 
 
 def quotient_report(group):

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from coxtools.cli import main
+from coxtools.cli import COMMANDS, main
 
 FIXTURE_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 FIXTURES = sorted(FIXTURE_DIR.glob("*.json"))
@@ -115,6 +115,33 @@ def _assert_malformed(code, out):
     assert code == 2
     assert out.endswith("\n") and out.count("\n") == 1
     assert json.loads(out)["error"] == "malformed_input"
+
+
+# Files that json.load cannot turn into a document: bytes that are not
+# UTF-8 (UnicodeDecodeError), arrays nested past the interpreter's recursion
+# limit (RecursionError) and a number past its int_max_str_digits
+# (ValueError).  The same digits written as a string are a "bad integer".
+UNREADABLE = {
+    "not-utf8": b'\xff\xfe{"text": "y1", "var_names": ["y1"]}',
+    "nested-100000": b"[" * 100_000 + b"]" * 100_000,
+    "number-5000-digits": b'{"num_vars": ' + b"9" * 5000 + b', "maps": [["y1"]]}',
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@pytest.mark.parametrize("name", sorted(UNREADABLE))
+def test_unreadable_input_file_exit_2(tmp_path, name, command):
+    p = tmp_path / "input.json"
+    p.write_bytes(UNREADABLE[name])
+    _assert_malformed(*run_cli([command, str(p)]))
+
+
+def test_long_integer_string_is_a_bad_integer(tmp_path):
+    p = tmp_path / "input.json"
+    p.write_text(json.dumps({"num_vars": "9" * 5000, "maps": [["y1"]]}))
+    code, out = run_cli(["compose", str(p)])
+    _assert_malformed(code, out)
+    assert json.loads(out)["detail"].startswith("bad integer")
 
 
 Q8_GROUP = json.loads((FIXTURE_DIR / "quotient-report-q8.json").read_text())["payload"]

@@ -330,6 +330,21 @@ def test_quotient_report_matches_matrix_reference():
     assert quotient_report(_alternating_4()) == QuotientReport(12, 1, 4, False, 4, (3,), False)
 
 
+def test_quotient_report_repr_and_value_semantics():
+    """The groups benchmark hashes ``repr`` of reports: it is pinned here,
+    with field access, equality, hashing and immutability."""
+    rep = quotient_report(_q8_with_reflection())
+    assert repr(rep) == ("QuotientReport(order_g=16, order_h=2, order_h_tilde=4, "
+                         "f_abelian=False, commutant_order=2, n_invariants=(2, 2), "
+                         "is_toric=False)")
+    assert (rep.order_g, rep.n_invariants, rep.is_toric) == (16, (2, 2), False)
+    same = QuotientReport(16, 2, 4, False, 2, (2, 2), False)
+    assert rep == same and hash(rep) == hash(same)
+    assert rep != QuotientReport(16, 1, 4, False, 2, (2, 2), False)
+    with pytest.raises(AttributeError):
+        rep.order_g = 8
+
+
 def test_quotient_report_makes_no_matrix_products(monkeypatch):
     calls = []
 
