@@ -15,6 +15,8 @@ import json
 import sys
 from fractions import Fraction
 
+from .errors import DOMAIN_ERRORS, NotSaturatedError
+
 # CycloNum builds the n-th cyclotomic polynomial by dividing x^n - 1 through
 # every lower cyclotomic factor; the fixtures and tests use conductors <= 24
 MAX_CONDUCTOR = 1000
@@ -178,28 +180,21 @@ def _var_names(doc, count=None):
     return names
 
 
-def _poly(text, names):
+def _poly_text(text):
     if not isinstance(text, str):
         raise InputError(f"expected a polynomial string, got {type(text).__name__}")
-    from .polynomials import parse_poly
-    return parse_poly(text, names)
+    return text
 
 
 def _polys(texts, names):
-    return [_poly(t, names) for t in _list(texts, "a list of polynomials")]
+    from .polynomials import parse_poly
+    return [parse_poly(_poly_text(t), names) for t in _list(texts, "a list of polynomials")]
 
 
 def _variable(x, index_of):
     if not isinstance(x, str) or x not in index_of:
         raise InputError(f"unknown variable {x!r}")
     return index_of[x]
-
-
-def _decode_cyclo_entry(value, conductor):
-    from .cyclotomic import CycloNum
-    if isinstance(value, list):
-        return CycloNum(conductor, tuple(_as_fraction(c) for c in value))
-    return CycloNum.rational(conductor, _as_fraction(value))
 
 
 def _at_least(value, least, name):
@@ -224,6 +219,7 @@ def _is_square(x, dim):
 
 
 def _decode_group(doc):
+    from .cyclotomic import CycloNum
     dim = _at_least(_as_int(_require(doc, "dim")), 1, "dim")
     conductor = _at_least(_as_int(_require(doc, "conductor")), 1, "conductor")
     if conductor > MAX_CONDUCTOR:
@@ -231,8 +227,13 @@ def _decode_group(doc):
     gmats = _require(doc, "generators")
     if not isinstance(gmats, list) or not gmats or not all(_is_square(g, dim) for g in gmats):
         raise InputError("group generators must be a nonempty list of dim x dim matrices")
-    return conductor, [tuple(tuple(_decode_cyclo_entry(e, conductor) for e in row)
-                             for row in gmat) for gmat in gmats]
+
+    def entry(value):
+        if isinstance(value, list):
+            return CycloNum(conductor, tuple(_as_fraction(c) for c in value))
+        return CycloNum.rational(conductor, _as_fraction(value))
+
+    return conductor, [tuple(tuple(entry(e) for e in row) for row in gmat) for gmat in gmats]
 
 
 def _render_invariant(form, names):
@@ -256,8 +257,9 @@ def _render_invariant(form, names):
 # -- subcommands ----------------------------------------------------------------
 
 def cmd_parse_poly(doc, args):
+    from .polynomials import parse_poly
     names = _var_names(doc)
-    p = _poly(_require(doc, "text"), names)
+    p = parse_poly(_poly_text(_require(doc, "text")), names)
     return {
         "canonical": p.render(names),
         "num_terms": len(p.terms),
@@ -391,13 +393,14 @@ def cmd_jacobian(doc, args):
 
 def cmd_wildness_cert(doc, args):
     from .gradings import NotZeta, shear_map, wildness_certificate
+    from .polynomials import parse_poly
     ring = _decode_grading(doc.get("grading"))
     names = _var_names(doc, ring.num_vars)
     index_of = {n: i for i, n in enumerate(names)}
     seq = []
     for step in _list(_require(doc, "sequence"), "a list of shears"):
         var = _variable(_require(step, "variable"), index_of)
-        seq.append(shear_map(ring, var, _poly(_require(step, "poly"), names)))
+        seq.append(shear_map(ring, var, parse_poly(_poly_text(_require(step, "poly")), names)))
     result = wildness_certificate(seq, ring)
     if isinstance(result, NotZeta):
         return {"kind": "not_zeta", "variable": names[result.variable]}
@@ -412,12 +415,13 @@ def cmd_wildness_cert(doc, args):
 
 def cmd_shear_family(doc, args):
     from .gradings import shear_family
+    from .polynomials import parse_poly
     ring = _decode_grading(doc.get("grading"))
     names = _var_names(doc, ring.num_vars)
     index_of = {n: i for i, n in enumerate(names)}
     var = _variable(_require(doc, "variable"), index_of)
-    f = _poly(_require(doc, "f"), names)
-    h = _poly(_require(doc, "h"), names)
+    f = parse_poly(_poly_text(_require(doc, "f")), names)
+    h = parse_poly(_poly_text(_require(doc, "h")), names)
     k = _as_int(_require(doc, "k"))
     endo = shear_family(ring, var, f, h, k)
     return {"images": [p.render(names) for p in endo.map.images]}
@@ -494,16 +498,11 @@ def main(argv=None):
     except InputError as exc:
         emit({"error": "malformed_input", "detail": str(exc)}, args.pretty)
         return 2
-    except Exception as exc:
-        # imported only when a handler raises: a run that succeeds loads
-        # no module beyond its subcommand's own
-        from .errors import DOMAIN_ERRORS, NotSaturatedError
-        if isinstance(exc, NotSaturatedError):
-            emit({"error": "not_saturated", "witness": list(exc.witness),
-                  "detail": str(exc)}, args.pretty)
-            return 1
-        if not isinstance(exc, DOMAIN_ERRORS):
-            raise
+    except NotSaturatedError as exc:
+        emit({"error": "not_saturated", "witness": list(exc.witness),
+              "detail": str(exc)}, args.pretty)
+        return 1
+    except DOMAIN_ERRORS as exc:
         emit({"error": type(exc).__name__, "detail": str(exc)}, args.pretty)
         return 1
     emit(result, args.pretty)

@@ -13,7 +13,7 @@ common fixed space (the image of the Reynolds operator).
 """
 
 import math
-from collections import namedtuple
+from dataclasses import dataclass
 
 from . import intlinalg as la
 from .cyclotomic import CycloNum
@@ -166,10 +166,15 @@ def pseudoreflections(group):
     return tuple(out)
 
 
-# a namedtuple keeps dataclasses (and inspect) off the cold path of the
-# quotient commands; the groups benchmark hashes its repr
-QuotientReport = namedtuple("QuotientReport", ["order_g", "order_h", "order_h_tilde", "f_abelian",
-                                               "commutant_order", "n_invariants", "is_toric"])
+@dataclass(frozen=True)
+class QuotientReport:
+    order_g: int
+    order_h: int
+    order_h_tilde: int
+    f_abelian: bool
+    commutant_order: int
+    n_invariants: tuple
+    is_toric: bool
 
 
 def quotient_report(group):
