@@ -101,10 +101,13 @@ def _int_matrix(x, width=None):
     return rows
 
 
-def _fraction_matrix(x):
+def _fraction_matrix(x, width):
     if not isinstance(x, list) or not x:
         raise InputError("expected a nonempty matrix (array of arrays)")
-    return tuple(tuple(_as_fraction(e) for e in _list(row)) for row in x)
+    rows = tuple(tuple(_as_fraction(e) for e in _list(row)) for row in x)
+    if any(len(row) != width for row in rows):
+        raise InputError(f"expected rows of length {width}")
+    return rows
 
 
 def _load(path):
@@ -309,7 +312,8 @@ def cmd_extend(doc, args):
                           divisor_theory, extend_embedding)
     m = _decode_monoid(_require(doc, "monoid"))
     dt = divisor_theory(m)
-    alpha = MonoidHom(_fraction_matrix(_require(_require(doc, "alpha"), "matrix")))
+    alpha = MonoidHom(_fraction_matrix(_require(_require(doc, "alpha"), "matrix"),
+                                       m.ambient_rank))
     depth = _depth(args, doc, DEFAULT_DEPTH)
     result = extend_embedding(dt, alpha, depth=depth)
     if isinstance(result, Beta):

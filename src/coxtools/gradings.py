@@ -228,13 +228,10 @@ def _free_block(a, pairs):
 
 def _torsion_bijective(torsion, tm):
     """A homomorphism T of ZZ/d_1 + ... + ZZ/d_t is bijective exactly when
-    it is onto, that is when every invariant factor of [T | diag(d)] is 1."""
+    it is onto, that is when the cokernel of [T | diag(d)] is trivial."""
     t = len(torsion)
-    if not t:
-        return True
-    s = la.snf([row + tuple([d if j == i else 0 for j in range(t)])
-                for i, (row, d) in enumerate(zip(tm, torsion))])[0]
-    return all(s[i][i] == 1 for i in range(t))
+    return not t or la.cokernel([row + tuple([d if j == i else 0 for j in range(t)])
+                                 for i, (row, d) in enumerate(zip(tm, torsion))])[:2] == (0, ())
 
 
 def _degree_automorphism(group, pairs):

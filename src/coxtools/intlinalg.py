@@ -226,6 +226,23 @@ def snf(a):
     return mat(s), mat(u), mat(v)
 
 
+def cokernel(a):
+    """ZZ^m modulo the column span of an m x n integer matrix ``a``.
+
+    Returns ``(free_rank, torsion, classes)``: ``torsion`` holds the
+    invariant factors above 1, and ``classes[i]`` is the class of e_i as
+    (free coordinates, torsion residues).  With U.a.V == S the Smith form,
+    x -> U.x carries the column span of ``a`` onto that of S, so the class
+    of e_i is column i of U read modulo the diagonal of S.
+    """
+    s, u, _v = snf(a)
+    diag = [s[i][i] for i in range(min(len(s), len(s[0])))]
+    r = sum(1 for d in diag if d)  # the nonzero entries lead the diagonal
+    tors = [i for i in range(r) if diag[i] >= 2]
+    classes = tuple([(col[r:], tuple([col[i] % diag[i] for i in tors])) for col in zip(*u)])
+    return len(s) - r, tuple([diag[i] for i in tors]), classes
+
+
 # ---------------------------------------------------------------------------
 # Fraction-free elimination of integer and rational matrices.
 # ---------------------------------------------------------------------------

@@ -56,8 +56,7 @@ class AffineMonoid:
             raise ValueError("zero generator")
         self.generators = gens
         if group_basis is None:
-            h, _u = la.hnf(gens)
-            basis = tuple(r for r in h if not la.is_zero_vec(r))
+            basis = _generated_group(gens)
         else:
             basis = la.mat(group_basis)
             if la.rank(basis) != len(basis):
@@ -84,6 +83,12 @@ class AffineMonoid:
         in_cone = partial(_inside, dual)
         return target is not None and in_cone(target) and _represents(
             target, self._gen_coords, in_cone)
+
+
+def _generated_group(gens):
+    """Basis of the group the generators span: the nonzero rows of their
+    Hermite normal form."""
+    return tuple(r for r in la.hnf(gens)[0] if not la.is_zero_vec(r))
 
 
 def _represents(t, vectors, inside):
@@ -113,18 +118,19 @@ def _represents(t, vectors, inside):
 def is_saturated(m):
     """(True, None) if the monoid equals the lattice points of its cone,
     else (False, witness) with the first Hilbert basis element that is
-    not a generator combination."""
-    for h in hilbert_basis(m.cone):
-        if not m.contains(h):
-            return False, h
-    return True, None
+    not a generator.  A Hilbert basis element is irreducible among the
+    cone's lattice points, which contain the generators, so it is a
+    generator combination exactly when it is a generator."""
+    gens = set(m.generators)
+    witness = next((h for h in hilbert_basis(m.cone) if h not in gens), None)
+    return witness is None, witness
 
 
 class DivisorTheory:
     """An embedding of a monoid into ZZ^r_{>=0} by integer functionals.
 
-    ``functionals`` rows are written in the basis dual to
-    ``lattice_basis`` rows (the monoid's group).  Rows produced by
+    ``functionals`` rows are written in the basis dual to ``lattice_basis``
+    rows (the monoid's group: its cone's ``span_basis``).  Rows produced by
     :func:`divisor_theory` are primitive, pairwise distinct, and are the
     edge generators of the dual cone in canonical (lexicographic) order.
     Hand-built instances may violate primitivity; only nonnegativity on
@@ -132,14 +138,11 @@ class DivisorTheory:
     embeddings can be fed to :func:`verify_divisor_axioms`.
     """
 
-    def __init__(self, monoid, functionals, lattice_basis=None):
+    def __init__(self, monoid, functionals):
         self.monoid = monoid
-        self.lattice_basis = la.mat(lattice_basis) if lattice_basis is not None \
-            else monoid.cone.span_basis
+        self.lattice_basis = monoid.cone.span_basis
         self.functionals = la.mat(functionals)
         k = len(self.lattice_basis)
-        if k != monoid.cone.dim:
-            raise ValueError("the lattice basis must span the monoid's group")
         if any(len(row) != k for row in self.functionals):
             raise ValueError("functional row length must match the group rank")
         if la.rank(self.functionals) != k:
@@ -149,12 +152,10 @@ class DivisorTheory:
                 raise ValueError("a generator has a negative image coordinate")
 
     @classmethod
-    def from_ambient_functionals(cls, monoid, rows, lattice_basis=None):
+    def from_ambient_functionals(cls, monoid, rows):
         """Build from integer covectors on the ambient lattice."""
-        basis = la.mat(lattice_basis) if lattice_basis is not None \
-            else monoid.cone.span_basis
-        internal = tuple(tuple(la.dot(row, b) for b in basis) for row in rows)
-        return cls(monoid, internal, basis)
+        basis = monoid.cone.span_basis
+        return cls(monoid, tuple(tuple(la.dot(row, b) for b in basis) for row in rows))
 
     @property
     def free_rank(self):
@@ -178,14 +179,8 @@ class DivisorTheory:
 
     def class_group(self):
         """Invariant factors of (free monoid group) / (monoid group):
-        the cokernel of the embedding on groups, read off a Smith normal
-        form of the functional matrix.  Returns (free_rank, torsion)."""
-        s, _u, _v = la.snf(self.functionals)
-        k = len(self.lattice_basis)
-        diag = [s[i][i] for i in range(k)]
-        free = self.free_rank - k
-        torsion = tuple(d for d in diag if d >= 2)
-        return free, torsion
+        the cokernel of the embedding on groups.  Returns (free_rank, torsion)."""
+        return la.cokernel(self.functionals)[:2]
 
     def ambient_functionals(self):
         """Rational covector representatives on the ambient space.
@@ -293,7 +288,9 @@ def verify_divisor_axioms(dt, depth):
     is, for large N, divisible by d but not by d'.  ``depth`` is only echoed.
     """
     # axiom 1 ranges over M - M, which may be smaller than the monoid's group
-    own = AffineMonoid(dt.monoid.ambient_rank, dt.monoid.generators)
+    m = dt.monoid
+    own = m if m.group_basis == _generated_group(m.generators) else AffineMonoid(
+        m.ambient_rank, m.generators)
     rays = (la.vec_mat(ray, dt.lattice_basis) for ray in
             _dual_extreme_rays(dt.functionals, len(dt.lattice_basis)))
     x = next((v for v in rays if not cone_contains(own.cone, v)), None)

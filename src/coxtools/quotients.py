@@ -218,11 +218,12 @@ def quotient_report(group):
     f_abelian = all(coset_of[right[right[0][j]][k]] == coset_of[right[right[0][k]][j]]
                     for j in range(ngens) for k in range(j + 1, ngens))
 
-    s = la.snf(sorted(relations))[0] if relations else []
-    diag = [s[i][i] for i in range(min(len(s), ngens))]
-    if len(diag) < ngens or 0 in diag:
+    # N is ZZ^ngens modulo the relations, the columns of this matrix
+    rels = sorted(relations)
+    free_rank, n_invariants = la.cokernel([[r[k] for r in rels] for k in range(ngens)])[:2]
+    if free_rank:
         raise AssertionError("abelianization presentation was not finite")
-    n_order = math.prod(diag)
+    n_order = math.prod(n_invariants)
     if f_order % n_order or (n_order == f_order) != f_abelian:
         raise AssertionError("|N| disagrees with F's generator commutators")
     commutant_order = f_order // n_order
@@ -233,7 +234,7 @@ def quotient_report(group):
         order_h_tilde=commutant_order * len(h_elements),
         f_abelian=f_abelian,
         commutant_order=commutant_order,
-        n_invariants=tuple(d for d in diag if d >= 2),
+        n_invariants=n_invariants,
         is_toric=f_abelian)
 
 

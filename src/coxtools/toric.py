@@ -2,7 +2,7 @@
 
 The input cone lives in the cocharacter lattice ZZ^n (standard lattice).
 Its primitive ray generators define the map ZZ^n -> ZZ^rays by pairing;
-the divisor class group is the cokernel, computed by Smith normal form,
+the divisor class group is the cokernel, read off a Smith normal form,
 and each polynomial variable (one per ray) is graded by the class of its
 ray's divisor.  Coordinates on the variety itself are the Hilbert basis
 characters of the dual cone; ``pullback`` realizes a character as the
@@ -64,35 +64,18 @@ def cox_data(c):
         raise ValueError("cox data expects a cone over the standard lattice")
     if not c.pointed:
         raise NonPointedError("cone must be pointed")
-    n = c.ambient_rank
-    if c.dim != n:
+    if c.dim != c.ambient_rank:
         raise NotFullDimensionalError("cone must be full-dimensional")
     rays = c.rays
-    r = len(rays)
-    # pairing matrix as a map ZZ^n -> ZZ^r (columns indexed by characters)
-    pairing = la.mat(rays)  # row i = ray v_i; column j = <e_j, v_i>
-    s, u, _v = la.snf(pairing)
-    diag = [s[i][i] for i in range(min(r, n))]
-    if any(d == 0 for d in diag):
-        raise NotFullDimensionalError("cone must be full-dimensional")
-    torsion_positions = [i for i, d in enumerate(diag) if d >= 2]
-    free_positions = list(range(n, r))
-    group = AbGroup(len(free_positions), tuple(diag[i] for i in torsion_positions))
-
-    cols = la.transpose(u)  # column i of u = image data of basis vector e_i of ZZ^r
-    degrees = []
-    for i in range(r):
-        w = cols[i]
-        free = [w[p] for p in free_positions]
-        tors = [w[p] % diag[p] for p in torsion_positions]
-        degrees.append((free, tors))
+    # ZZ^n -> ZZ^rays pairs a character with each ray; it is injective
+    # because the cone is full-dimensional, and Cl is its cokernel
+    free_rank, torsion, classes = la.cokernel(rays)
+    group = AbGroup(free_rank, torsion)
     # sign normalization per free coordinate
-    for fpos in range(len(free_positions)):
-        lead = next((d for d in degrees if d[0][fpos] != 0), None)
-        if lead is not None and lead[0][fpos] < 0:
-            for d in degrees:
-                d[0][fpos] = -d[0][fpos]
-    var_degrees = tuple(group.element(tuple(f), tuple(t)) for f, t in degrees)
+    signs = [next((1 if f[k] > 0 else -1 for f, _t in classes if f[k]), 1)
+             for k in range(free_rank)]
+    var_degrees = tuple(group.element([s * x for s, x in zip(signs, f)], t)
+                        for f, t in classes)
     return CoxData(cone=c, rays=rays, cl_group=group, var_degrees=var_degrees,
                    ray_pairing=la.transpose(la.mat(rays)))
 

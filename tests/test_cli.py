@@ -219,6 +219,12 @@ PLANE_LIFT = {"cone": {"ambient_rank": 2, "rays": [[1, 0], [0, 1]]},
                       "ambient_functionals": [[1, 0, 0], [0, 1, 0]]}),
     ("extend", {"monoid": {"ambient_rank": 2, "generators": [[1, 0], [0, 1]]},
                 "alpha": {"matrix": [4, [0, 1]]}}),
+    # alpha's rows must be as wide as the monoid's ambient lattice: too short
+    # used to end in an IndexError, too long was silently truncated
+    ("extend", {"monoid": {"ambient_rank": 2, "generators": [[2, 0], [1, 1], [0, 2]]},
+                "alpha": {"matrix": [[0]]}}),
+    ("extend", {"monoid": {"ambient_rank": 2, "generators": [[2, 0], [1, 1], [0, 2]]},
+                "alpha": {"matrix": [[1, 0, 7], [0, 1, 7]]}}),
     ("wildness-cert", [{"sequence": []}]),
     # duplicate variable names
     ("compose", {"num_vars": 2, "var_names": ["a", "a"], "maps": [["a", "a"]]}),

@@ -173,6 +173,52 @@ def test_snf_matches_sympy():
         assert abs(la.det_int(u)) == abs(la.det_int(v)) == 1
 
 
+def _smith_diagonal(a):
+    """The diagonal of sympy's Smith form of ``a``, which may have no columns."""
+    ref = smith_normal_form(sympy.Matrix(a)) if a[0] else sympy.zeros(len(a), 0)
+    return [int(ref[i, i]) for i in range(min(ref.shape))]
+
+
+def test_cokernel_small_cases():
+    assert la.cokernel([[2], [0]]) == (1, (2,), (((0,), (1,)), ((1,), (0,))))
+    assert la.cokernel([[], []]) == (2, (), (((1, 0), ()), ((0, 1), ())))
+    assert la.cokernel([[0, 0]]) == (1, (), (((1,), ()),))
+    assert la.cokernel([[1, 0], [0, 1]])[:2] == (0, ())
+
+
+def test_cokernel_matches_sympy():
+    """ZZ^m modulo the column span of a, on rank-deficient, wide, tall and
+    zero-column matrices: the invariant factors above 1 are sympy's, the
+    free rank is m - rank, every column of a has class 0, and the classes of
+    the unit vectors generate the group."""
+    rng = random.Random(12)
+    mats = _random_matrices(11, count=150)
+    mats += [[[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
+             for m, n in [(1, 6), (2, 7), (6, 1), (7, 2)] * 5]  # wide and tall
+    mats += [[[]] * m for m in range(1, 5)]  # no columns
+    for a in mats:
+        m = len(a)
+        free, torsion, classes = la.cokernel(a)
+        diag = _smith_diagonal(a)
+        assert torsion == tuple(d for d in diag if d > 1)
+        assert free == m - sum(1 for d in diag if d) == m - (la.rank(a) if a[0] else 0)
+        assert len(classes) == m
+        assert all(len(f) == free and len(t) == len(torsion) for f, t in classes)
+        for j in range(len(a[0])):
+            image_free = [sum(a[i][j] * classes[i][0][k] for i in range(m)) for k in range(free)]
+            image_tors = [sum(a[i][j] * classes[i][1][k] for i in range(m)) % d
+                          for k, d in enumerate(torsion)]
+            assert not any(image_free) and not any(image_tors)
+        # the classes generate: [classes | relations of the torsion part],
+        # one row per coordinate of the group, has every invariant factor 1
+        rows = free + len(torsion)
+        if rows:
+            gen = [[f[k] for f, _t in classes] + [0] * len(torsion) for k in range(free)]
+            gen += [[t[k] for _f, t in classes] + [d if i == k else 0 for i in range(len(torsion))]
+                    for k, d in enumerate(torsion)]
+            assert _smith_diagonal(gen) == [1] * rows
+
+
 def _is_row_hnf(h):
     """The shape that makes a row Hermite form of a row space unique: pivot
     columns strictly increase, pivots are positive, the entries above a

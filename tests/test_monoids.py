@@ -6,7 +6,7 @@ import pytest
 
 from coxtools import intlinalg as la
 from coxtools import monoids
-from coxtools.cones import NonPointedError
+from coxtools.cones import NonPointedError, hilbert_basis
 from coxtools.monoids import (AffineMonoid, AxiomReport, Beta, DivisorTheory, MonoidHom,
                               NotAnEmbedding, NotSaturatedError, ViolationStar,
                               ViolationStarStar, _enumerate_elements, divisor_theory,
@@ -34,6 +34,38 @@ def test_saturation_inside_own_group():
     # inside its own (derived) group the same monoid is saturated
     m = AffineMonoid(2, [(2, 0), (0, 1)])
     assert is_saturated(m) == (True, None)
+
+
+def _seeded_monoids(seed, count):
+    """Seeded monoids in ZZ^2 and ZZ^3 with nonnegative generators (so the
+    cone is pointed); about 30% are given an explicit ``group_basis``, the
+    whole lattice or the saturation of the generators' span."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.choice((2, 3))
+        gens = [tuple(rng.randint(0, 4) for _ in range(n)) for _ in range(rng.randint(1, 5))]
+        gens = [g for g in gens if any(g)]
+        if not gens:
+            continue
+        basis = None
+        if rng.random() < 0.3:
+            basis = la.identity(n) if la.rank(gens) == n else la.saturation_basis(gens)
+        out.append(AffineMonoid(n, gens, group_basis=basis))
+    return out
+
+
+def test_saturation_witness_matches_the_membership_search():
+    """is_saturated reads the witness off the Hilbert basis without a
+    search; ``contains`` on each Hilbert basis element is the oracle."""
+    seeded = _seeded_monoids(15, 500)
+    verdicts = []
+    for m in seeded:
+        expected = next((h for h in hilbert_basis(m.cone) if not m.contains(h)), None)
+        assert is_saturated(m) == (expected is None, expected)
+        verdicts.append(expected is None)
+    assert 0.2 < sum(verdicts) / len(verdicts) < 0.8
+    assert sum(m.group_basis != monoids._generated_group(m.generators) for m in seeded) > 50
 
 
 def test_orthant_divisor_theory_is_identity_up_to_order():
@@ -137,10 +169,11 @@ def test_axiom_two_gcd_witness():
 
 
 def test_functionals_must_live_on_the_monoids_span():
-    # a functional on ZZ^2 is not determined by the monoid on the x-axis
+    # a functional on ZZ^2 is not determined by the monoid on the x-axis,
+    # whose group has rank 1
     m = AffineMonoid(2, [(1, 0)])
-    with pytest.raises(ValueError, match="span"):
-        DivisorTheory(m, ((1, 0), (0, 1)), lattice_basis=((1, 0), (0, 1)))
+    with pytest.raises(ValueError, match="row length must match the group rank"):
+        DivisorTheory(m, ((1, 0), (0, 1)))
 
 
 def test_axiom_one_failure_past_the_scan_depth():
