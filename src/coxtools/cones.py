@@ -9,10 +9,14 @@ extreme rays, and sorted lexicographically.
 All cone computations happen in coordinates of the saturated sublattice
 ``L ∩ span(rays)``, so non-full-dimensional input is handled by
 restricting to its span first.  Facet normals are computed with the
-double description method using exact integer pivots.
+double description method using exact integer pivots.  Hilbert bases
+come from the parallelepipeds of one pulling triangulation, built from
+the facets' tight sets, and are reduced by comparing facet values.
 """
 
+import functools
 import itertools
+import operator
 
 from . import intlinalg as la
 
@@ -231,30 +235,58 @@ def _parallelepiped_points(rows):
     return points
 
 
+def _pulling_triangulation(rays, dual):
+    """Simplices of the pulling triangulation of a full-dimensional pointed
+    cone, as sorted tuples of indices into ``rays`` (its extreme rays; the
+    rows of ``dual`` are its facet normals).
+
+    A face F is triangulated by pulling its lowest-index ray v: v is coned
+    over the simplices of every facet of F that misses v.  The facets of F
+    are the sets F ∩ tight(d) whose rays have rank rank(F) - 1, and a face
+    with as many rays as its rank is a simplex.  Each face is pulled at its
+    own lowest ray, so a face shared by two facets is triangulated alike in
+    both and the simplices fit together (De Loera-Rambau-Santos,
+    *Triangulations*, 2010, section 4.3).
+    """
+    tight = [frozenset(i for i, r in enumerate(rays) if la.dot(d, r) == 0) for d in dual]
+
+    @functools.cache
+    def pull(face, rank):
+        if len(face) == rank:
+            return [tuple(sorted(face))]
+        v = min(face)
+        facets = {face & t for t in tight if v not in t}
+        return [(v, *s) for g in sorted(facets, key=sorted)
+                if la.rank([rays[i] for i in g]) == rank - 1 for s in pull(g, rank - 1)]
+
+    return pull(frozenset(range(len(rays))), len(rays[0]))
+
+
 def hilbert_basis(c):
     """Minimal generating set of ``cone ∩ L`` (ambient vectors, sorted).
 
-    Candidates are gathered from the fundamental parallelepipeds of the
-    simplicial subcones spanned by independent ray subsets (these cover
-    the cone by Caratheodory), then reduced to the irreducible elements.
+    Candidates are the rays and the half-open parallelepiped points of the
+    simplices of one pulling triangulation (they cover the cone, so by
+    Caratheodory every irreducible element is among them).  Each candidate
+    x is read by its facet values v(x) = (d.x for each facet normal d):
+    x - h lies in the cone exactly when v(x) >= v(h) componentwise, so the
+    reduction to irreducible elements compares values only.
     """
     c._require_pointed()
     coords = c._coords
-    dim = c.dim
-    if dim == 0 or not coords:
+    if c.dim == 0 or not coords:
         return ()
-    dual = c._dual
     candidates = set(coords)
-    for subset in itertools.combinations(coords, dim):
-        if la.det_int(subset) == 0:
-            continue
-        candidates.update(p for p in _parallelepiped_points(subset) if _inside(dual, p))
-    # the facet-normal sum is positive on the nonzero points of the pointed
-    # cone, so a reducible x = y + z has an irreducible summand of smaller
-    # weight, accepted before x: reducing against the basis so far is exact
-    weight_vec = tuple(sum(d[i] for d in dual) for i in range(dim))
-    basis = []
-    for x in sorted(candidates, key=lambda x: (la.dot(weight_vec, x), x)):
-        if not any(_inside(dual, la.vec_sub(x, h)) for h in basis):
+    for simplex in _pulling_triangulation(coords, c._dual):
+        candidates.update(_parallelepiped_points([coords[i] for i in simplex]))
+    # the sum of the facet values is positive on the nonzero points of the
+    # pointed cone, so a reducible x = y + z has an irreducible summand of
+    # smaller sum, accepted before x: reducing against the basis so far is exact
+    values = {x: tuple([la.dot(d, x) for d in c._dual]) for x in candidates}
+    basis, basis_values = [], []
+    for x in sorted(candidates, key=lambda x: (sum(values[x]), x)):
+        v = values[x]
+        if not any(all(map(operator.ge, v, h)) for h in basis_values):
             basis.append(x)
+            basis_values.append(v)
     return tuple(sorted(la.vec_mat(b, c.span_basis) for b in basis))

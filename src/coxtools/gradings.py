@@ -246,6 +246,9 @@ def _degree_automorphism(group, pairs):
     divides T[i][j].  So each row's solutions are listed once, in ascending
     order, and their product is walked for the first bijective T: the walk is
     the row-major order of all blocks (M, T), so phi0 is the first match in it.
+    Before the walk, None is returned when a row has no candidate, or when a
+    torsion column j is 0 mod d_i in every candidate of every row i: then
+    T.e_j == 0 for every block, and no T is bijective.
     ValueError means more than ``_CANDIDATE_CAP`` row candidates or matching blocks.
     """
     a, torsion = group.free_rank, group.torsion
@@ -258,6 +261,9 @@ def _degree_automorphism(group, pairs):
     rows = [[r for r in itertools.product(*rng)
              if all((la.dot(r, u.free + u.torsion) - w.torsion[i]) % d == 0 for u, w in pairs)]
             for i, (d, rng) in enumerate(zip(torsion, ranges))]
+    if not all(rows) or any(all(r[a + j] % d == 0 for d, row in zip(torsion, rows) for r in row)
+                            for j in range(len(torsion))):
+        return None
     if math.prod(map(len, rows)) > _CANDIDATE_CAP:
         raise ValueError("torsion search space too large")
     for block in itertools.product(*rows):

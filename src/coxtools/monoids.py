@@ -331,6 +331,8 @@ class MonoidHom:
         self.matrix = tuple(tuple(Fraction(x) for x in row) for row in matrix)
         if not self.matrix:
             raise ValueError("empty matrix")
+        if any(len(row) != len(self.matrix[0]) for row in self.matrix):
+            raise ValueError("matrix rows must have equal length")
         self.target_rank = len(self.matrix)
 
     @classmethod
@@ -410,6 +412,8 @@ def extend_embedding(dt, alpha, depth=DEFAULT_DEPTH):
     primes of the divisor theory.  Raises DepthInsufficientError when
     the bounded data cannot settle the answer.
     """
+    if len(alpha.matrix[0]) != dt.monoid.ambient_rank:
+        raise ValueError("alpha's row length must match the monoid's ambient rank")
     gens = dt.monoid.generators
     for g in gens:
         if all(x == 0 for x in alpha.image(g)):

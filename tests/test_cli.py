@@ -47,17 +47,31 @@ def test_fixture_matches_expected(path):
     assert out == json.dumps(doc["expected"], sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def test_fixture_generator_table_matches_corpus():
+def _fixture_generator():
     script = FIXTURE_DIR.parent / "tools" / "gen_fixtures.py"
     spec = importlib.util.spec_from_file_location("gen_fixtures", script)
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)  # defines the table; main() is not called
+    return gen
+
+
+def test_fixture_generator_table_matches_corpus():
+    gen = _fixture_generator()
     table = {name: (command, source, json.loads(json.dumps(payload)))
              for name, command, source, payload in gen.FIXTURES}
     assert len(table) == len(gen.FIXTURES) == len(FIXTURES) == 28
     for path in FIXTURES:
         doc = json.loads(path.read_text())
         assert table[path.stem] == (doc["command"], doc["source"], doc["payload"])
+
+
+def test_fixture_generator_check_finds_every_fixture_unchanged(capsys):
+    """``--check`` regenerates all 28 fixtures in memory, writes nothing and
+    lists none: every committed fixture has the generator's exact bytes."""
+    before = {p: p.stat().st_mtime_ns for p in FIXTURES}
+    assert _fixture_generator().main(["--check"]) == 0
+    assert capsys.readouterr().out == ""
+    assert {p: p.stat().st_mtime_ns for p in FIXTURES} == before
 
 
 @pytest.mark.parametrize("path", FIXTURES[:6], ids=lambda p: p.stem)

@@ -1,12 +1,13 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from coxtools import intlinalg as la
-from coxtools.cones import (Cone, NonPointedError, _parallelepiped_points, cone_contains,
-                            dual_cone, hilbert_basis)
+from coxtools.cones import (Cone, NonPointedError, _inside, _parallelepiped_points,
+                            _pulling_triangulation, cone_contains, dual_cone, hilbert_basis)
 
 
 def test_orthant_self_dual():
@@ -182,3 +183,97 @@ def test_one_dimensional_cones(gens, rays, pointed, dual, hb):
     else:
         with pytest.raises(NonPointedError):
             hilbert_basis(c)
+
+
+def _reference_hilbert_basis(c):
+    """The all-subsets enumeration, kept as a test oracle."""
+    c._require_pointed()
+    coords = c._coords
+    dim = c.dim
+    if dim == 0 or not coords:
+        return ()
+    dual = c._dual
+    candidates = set(coords)
+    for subset in itertools.combinations(coords, dim):
+        if la.det_int(subset) == 0:
+            continue
+        candidates.update(p for p in _parallelepiped_points(subset) if _inside(dual, p))
+    # the facet-normal sum is positive on the nonzero points of the pointed
+    # cone, so a reducible x = y + z has an irreducible summand of smaller
+    # weight, accepted before x: reducing against the basis so far is exact
+    weight_vec = tuple(sum(d[i] for d in dual) for i in range(dim))
+    basis = []
+    for x in sorted(candidates, key=lambda x: (la.dot(weight_vec, x), x)):
+        if not any(_inside(dual, la.vec_sub(x, h)) for h in basis):
+            basis.append(x)
+    return tuple(sorted(la.vec_mat(b, c.span_basis) for b in basis))
+
+
+def _seeded_cones(seed, count):
+    """Pointed cones in ZZ^2..ZZ^4 with coordinates in -3..3: a third are
+    drawn in the span of fewer than n vectors, and a third have generators
+    written in the basis of a random full-rank lattice."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(2, 4)
+        gens = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(2, 6))]
+        lattice = None
+        if len(out) % 3 == 1:  # generators in the span of k < n vectors
+            span = [[rng.randint(-1, 1) for _ in range(n)] for _ in range(rng.randint(1, n - 1))]
+            gens = [g for g in (la.vec_mat([rng.randint(0, 2) for _ in span], span)
+                                for _ in range(rng.randint(1, 6))) if max(map(abs, g)) <= 3]
+        elif len(out) % 3 == 2:
+            lattice = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+            if la.rank(lattice) < n:
+                continue
+            gens = [la.vec_mat(g, lattice) for g in gens]
+        c = Cone(n, gens, lattice)
+        if c.pointed and c.rays:
+            out.append(c)
+    return out
+
+
+def test_hilbert_basis_matches_the_all_subsets_reference():
+    cones = _seeded_cones(11, 300)
+    assert {c.dim for c in cones} == {1, 2, 3, 4}
+    assert any(c.dim < c.ambient_rank for c in cones)
+    assert any(c.lattice != la.identity(c.ambient_rank) for c in cones)
+    for c in cones:
+        assert hilbert_basis(c) == _reference_hilbert_basis(c), c
+
+
+def _volume(rays, simplices, height):
+    """Normalized volume of the simplices cut at height(x) == 1; it does
+    not depend on the triangulation of the cone."""
+    return sum(Fraction(abs(la.det_int([rays[i] for i in s])),
+                        math.prod(la.dot(height, rays[i]) for i in s)) for s in simplices)
+
+
+def _assert_triangulates(c):
+    """Every simplex has full rank, a 3-dimensional cone with n rays gives
+    n - 2 simplices, and pulling the rays in reversed order gives the same
+    volume."""
+    coords, dual = c._coords, c._dual
+    height = [sum(col) for col in zip(*dual)]  # positive on the nonzero cone
+    simplices = _pulling_triangulation(coords, dual)
+    assert all(len(s) == la.rank([coords[i] for i in s]) == c.dim for s in simplices)
+    if c.dim == 3:
+        assert len(simplices) == len(coords) - 2
+    backwards = coords[::-1]
+    assert _volume(coords, simplices, height) == _volume(
+        backwards, _pulling_triangulation(backwards, dual), height)
+
+
+@pytest.mark.parametrize("rays", [
+    [(1, a, a * a) for a in range(8)],
+    [(1, a, a * a, a ** 3) for a in range(7)],
+    [(a, b, c, 1) for a in (0, 1) for b in (0, 1) for c in (0, 1)],
+], ids=["moment3-8", "moment4-7", "cube"])
+def test_pulling_triangulation_covers_the_cone(rays):
+    _assert_triangulates(Cone(len(rays[0]), rays))
+
+
+def test_pulling_triangulations_of_seeded_cones_cover_them():
+    for c in _seeded_cones(12, 100):
+        _assert_triangulates(c)

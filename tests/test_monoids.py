@@ -444,6 +444,19 @@ def test_not_an_embedding():
     assert isinstance(result, NotAnEmbedding)
 
 
+@pytest.mark.parametrize("matrix", [[[0]], [[1, 0, 7], [0, 1, 7]]], ids=["short", "long"])
+def test_extend_rejects_alpha_of_the_wrong_width(dt_469, matrix):
+    """Rows shorter than the ambient rank used to end in an IndexError and
+    longer ones were cut silently."""
+    with pytest.raises(ValueError, match="ambient rank"):
+        extend_embedding(dt_469, MonoidHom(matrix), depth=6)
+
+
+def test_monoid_hom_rejects_ragged_rows():
+    with pytest.raises(ValueError, match="equal length"):
+        MonoidHom([(1, 0), (1,)])
+
+
 def test_depth_insufficient(dt_469, monoid_469):
     from coxtools.monoids import DepthInsufficientError
     alpha = MonoidHom.from_generator_images(monoid_469, list(dt_469.generator_images()))

@@ -3,11 +3,7 @@ drops or renames one should fail here, not in a traced benchmark run."""
 
 import importlib
 import importlib.util
-import itertools
 from pathlib import Path
-
-from coxtools import intlinalg as la
-from coxtools.cones import Cone, hilbert_basis
 
 TRACING = Path(__file__).resolve().parent.parent / "coxbench" / "tracing.py"
 
@@ -31,12 +27,3 @@ def test_traced_names_resolve():
             missing.append(f"{module}.{attr}")
     assert missing == []
 
-
-def test_hilbert_basis_takes_one_determinant_per_subset(monkeypatch):
-    """The tracer's subsets-per-call count is the number of ``det_int``
-    calls made inside ``hilbert_basis``."""
-    cone = Cone(3, [(1, a, a * a) for a in range(6)])
-    det, calls = la.det_int, []
-    monkeypatch.setattr(la, "det_int", lambda rows: calls.append(rows) or det(rows))
-    hilbert_basis(cone)
-    assert calls == list(itertools.combinations(cone._coords, 3))

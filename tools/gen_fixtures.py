@@ -1,8 +1,9 @@
 """One-shot fixture generator: builds payloads, runs the command handlers,
 freezes the outputs as 'expected'. Review the diffs against hand-derived
-values before committing.  Paths are resolved from this file, so
-``python tools/gen_fixtures.py`` works from any directory and always uses
-this checkout's ``src`` and ``fixtures``."""
+values before committing.  ``--check`` writes nothing: it lists each
+fixture whose bytes would change and exits 1 if any would.  Paths are
+resolved from this file, so ``python tools/gen_fixtures.py`` works from
+any directory and always uses this checkout's ``src`` and ``fixtures``."""
 
 import argparse
 import json
@@ -189,7 +190,13 @@ FIXTURES = [
 ]
 
 
-def main():
+def main(argv=None):
+    parser = argparse.ArgumentParser(description="Regenerate the fixture corpus.")
+    parser.add_argument("--check", action="store_true",
+                        help="write nothing; list each fixture whose bytes would change "
+                             "and exit 1 if any would")
+    check = parser.parse_args(argv).check
+    changed = False
     for name, command, source, payload in FIXTURES:
         expected = encode(COMMANDS[command](payload, ARGS))
         doc = {
@@ -200,11 +207,16 @@ def main():
             "expected": expected,
         }
         path = ROOT / "fixtures" / f"{name}.json"
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=False)
-            fh.write("\n")
+        text = json.dumps(doc, indent=2, sort_keys=False) + "\n"
+        if check:
+            if not path.is_file() or path.read_bytes() != text.encode("utf-8"):
+                changed = True
+                print(f"{path}: would change")
+            continue
+        path.write_text(text, encoding="utf-8")
         print(f"{path}: {json.dumps(expected, sort_keys=True)[:120]}")
+    return int(changed)
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
