@@ -15,9 +15,9 @@ _EXPORTS = {
     "intlinalg": ("hnf", "snf"),
     "cones": ("Cone", "NonPointedError", "NotFullDimensionalError", "cone_contains", "dual_cone",
               "hilbert_basis"),
-    "monoids": ("AffineMonoid", "Beta", "DepthInsufficientError", "DivisorTheory", "MonoidHom",
-                "NotAnEmbedding", "NotSaturatedError", "ViolationStar", "ViolationStarStar",
-                "divisor_theory", "extend_embedding", "is_saturated", "verify_divisor_axioms"),
+    "monoids": ("AffineMonoid", "Beta", "DivisorTheory", "MonoidHom", "NotAnEmbedding",
+                "NotSaturatedError", "ViolationStar", "ViolationStarStar", "divisor_theory",
+                "extend_embedding", "is_saturated", "verify_divisor_axioms"),
     "polynomials": ("Poly", "PolyMap", "PolyParseError", "UnknownVariableError", "compose",
                     "compose_chain", "in_ideal_power", "jacobian", "parse_map", "parse_poly",
                     "poly_det", "substitute"),

@@ -206,8 +206,8 @@ def _at_least(value, least, name):
     return value
 
 
-def _depth(args, doc, default):
-    depth = _as_int(doc.get("depth", default)) if args.depth is None else args.depth
+def _depth(args, doc):
+    depth = _as_int(doc.get("depth", 6)) if args.depth is None else args.depth
     return _at_least(depth, 0, "depth")
 
 
@@ -293,7 +293,7 @@ def cmd_divisor_theory(doc, args):
 def cmd_check_axioms(doc, args):
     from .monoids import DivisorTheory, divisor_theory, verify_divisor_axioms
     m = _decode_monoid(_require(doc, "monoid"))
-    depth = _depth(args, doc, 6)
+    depth = _depth(args, doc)
     if doc.get("ambient_functionals"):
         dt = DivisorTheory.from_ambient_functionals(
             m, _int_matrix(doc["ambient_functionals"], m.ambient_rank))
@@ -308,14 +308,13 @@ def cmd_check_axioms(doc, args):
 
 
 def cmd_extend(doc, args):
-    from .monoids import (DEFAULT_DEPTH, Beta, MonoidHom, ViolationStar, ViolationStarStar,
-                          divisor_theory, extend_embedding)
+    from .monoids import (Beta, MonoidHom, ViolationStar, ViolationStarStar, divisor_theory,
+                          extend_embedding)
     m = _decode_monoid(_require(doc, "monoid"))
     dt = divisor_theory(m)
     alpha = MonoidHom(_fraction_matrix(_require(_require(doc, "alpha"), "matrix"),
                                        m.ambient_rank))
-    depth = _depth(args, doc, DEFAULT_DEPTH)
-    result = extend_embedding(dt, alpha, depth=depth)
+    result = extend_embedding(dt, alpha)
     if isinstance(result, Beta):
         return {"kind": "beta", "matrix": [list(r) for r in result.matrix]}
     if isinstance(result, ViolationStar):
@@ -485,7 +484,7 @@ def main(argv=None):
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("input", help="path to a JSON payload or fixture file")
     parser.add_argument("--depth", type=int, default=None,
-                        help="search depth for extend (check-axioms is exact and only echoes it)")
+                        help="depth echoed by check-axioms, which is exact")
     parser.add_argument("--cap", type=int, default=None,
                         help="group closure cap")
     parser.add_argument("--pretty", action="store_true", help="indent the output")

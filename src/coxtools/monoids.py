@@ -15,10 +15,10 @@ returns a finite witness violating one of the two extension conditions:
   (**) a subset with no common divisor in the divisor theory must have
        no common prime in the target.
 
-``verify_divisor_axioms`` decides both axioms exactly and only echoes
-its ``depth``.  ``extend_embedding`` searches to a depth bound, with
-monoid elements enumerated by total generator degree, then
-lexicographic exponents, so reported witnesses are reproducible.
+Both are decided exactly, as is ``verify_divisor_axioms``, which only
+echoes its ``depth``.  For a saturated monoid M = cone ∩ G each
+condition is a linear test on the facet functionals, and a witness is
+read off the first extreme ray of a cone that fails it.
 """
 
 from dataclasses import dataclass
@@ -29,12 +29,6 @@ from math import gcd, lcm
 from . import intlinalg as la
 from .cones import Cone, NonPointedError, _dual_extreme_rays, _inside, cone_contains, hilbert_basis
 from .errors import NotSaturatedError
-
-DEFAULT_DEPTH = 8
-
-
-class DepthInsufficientError(ValueError):
-    """The bounded search neither produced an extension nor a violation."""
 
 
 class AffineMonoid:
@@ -214,48 +208,20 @@ def divisor_theory(m):
 
 
 # ---------------------------------------------------------------------------
-# Bounded element enumeration (deterministic: degree, then lexicographic).
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class _Element:
-    ambient: tuple
-    tau: tuple
-    alpha: tuple = None
-
-
-def _enumerate_elements(dt, depth, alpha=None):
-    """Monoid elements with divisor-image coordinate sum <= depth.
-
-    Elements appear ordered by total generator degree and then by
-    lexicographic exponent vector; duplicates keep their first
-    occurrence.  The unit comes first.
-    """
-    gens = dt.monoid.generators
-    tau_images = dt.generator_images()
-    alpha_images = tuple(alpha.image(g) for g in gens) if alpha else None
-    seen = {}
-    order = []
-    unit = _Element((0,) * dt.monoid.ambient_rank, (0,) * dt.free_rank,
-                    (0,) * alpha.target_rank if alpha else None)
-    seen[unit.tau] = unit
-    order.append(unit)
-    # every generator image has coordinate sum >= 1, so degree <= depth
-    for degree in range(1, depth + 1):
-        for expo in la.compositions(degree, len(gens)):
-            tau = la.vec_mat(expo, tau_images)
-            if sum(tau) > depth or tau in seen:
-                continue
-            el = _Element(la.vec_mat(expo, gens), tau,
-                          la.vec_mat(expo, alpha_images) if alpha else None)
-            seen[tau] = el
-            order.append(el)
-    return order
-
-
-# ---------------------------------------------------------------------------
 # Axiom verification (exact; no enumeration).
 # ---------------------------------------------------------------------------
+
+def _first_point_outside(m, functionals, basis):
+    """The first point of m's group on the first extreme ray of
+    {x : F.x >= 0} that lies outside m's cone, or None if there is none.
+    F is ``functionals`` on the rows of ``basis`` and must have full rank."""
+    rays = (la.vec_mat(ray, basis) for ray in _dual_extreme_rays(functionals, len(basis)))
+    x = next((v for v in rays if not cone_contains(m.cone, v)), None)
+    if x is None:
+        return None
+    coords = la.solve(la.transpose(m.group_basis), x)
+    return la.vec_scale(x, lcm(*(c.denominator for c in coords)))
+
 
 @dataclass(frozen=True)
 class AxiomReport:
@@ -291,13 +257,8 @@ def verify_divisor_axioms(dt, depth):
     m = dt.monoid
     own = m if m.group_basis == _generated_group(m.generators) else AffineMonoid(
         m.ambient_rank, m.generators)
-    rays = (la.vec_mat(ray, dt.lattice_basis) for ray in
-            _dual_extreme_rays(dt.functionals, len(dt.lattice_basis)))
-    x = next((v for v in rays if not cone_contains(own.cone, v)), None)
-    if x is not None:
-        coords = la.solve(la.transpose(own.group_basis), x)
-        x = la.vec_scale(x, lcm(*(c.denominator for c in coords)))
-    else:
+    x = _first_point_outside(own, dt.functionals, dt.lattice_basis)
+    if x is None:
         _sat, x = is_saturated(own)
     if x is not None:
         return AxiomReport(False, 1, (x, dt.image(x)), depth)
@@ -403,14 +364,46 @@ class NotAnEmbedding:
     b: tuple
 
 
-def extend_embedding(dt, alpha, depth=DEFAULT_DEPTH):
+def _lift(dt, x):
+    """(x + b, b) for the first generator b that puts x + b in the monoid,
+    else for the least positive multiple b of the generators' sum that
+    does.  ``dt`` is a canonical divisor theory: membership is tau >= 0."""
+    t = dt.image(x)
+    gens, images = dt.monoid.generators, dt.generator_images()
+    b = next((g for g, im in zip(gens, images) if all(u + v >= 0 for u, v in zip(t, im))), None)
+    if b is None:
+        # x is outside the monoid, so some tau_j(x) < 0 and n >= 1; the
+        # sum's images are positive, as every facet misses a generator
+        n = max(-(u // v) for u, v in zip(t, map(sum, zip(*images))))
+        b = tuple(n * sum(col) for col in zip(*gens))
+    return tuple(u + v for u, v in zip(x, b)), b
+
+
+def extend_embedding(dt, alpha):
     """Extend ``alpha`` through the divisor theory, or find a violation.
 
-    Checks, in order: injectivity of alpha (up to depth), condition (*),
-    condition (**), and finally constructs the extension matrix from the
-    divisibility-set correspondence between primes of the target and
-    primes of the divisor theory.  Raises DepthInsufficientError when
-    the bounded data cannot settle the answer.
+    ``dt`` must be a divisor theory as :func:`divisor_theory` returns it:
+    the monoid is M = cone ∩ G for its group G, and tau lists the cone's
+    primitive facet functionals.  A is alpha on the rows of
+    ``dt.lattice_basis``.  Every check is exact; in order:
+
+    - a generator with image zero is reported with the unit.
+    - injectivity: alpha is injective on M exactly when it is on G, when
+      A has full column rank.  Else x is the primitive kernel element of
+      the first nullspace vector, reported as (x + b, b) with b the first
+      generator that puts x + b in M, else the least positive multiple
+      of the generators' sum that does.
+    - (*): alpha being injective, alpha(a) - alpha(b) = alpha(a - b), so
+      (*) says that every x in G with A x >= 0 lies in M: the extreme rays
+      of {A y >= 0} lie in M's cone.  Else x is the first point of G on
+      the first ray outside, reported as (x + b, b, alpha(x)) with b as
+      above.
+    - (**): each row of A is nonnegative on M's cone.  The elements it
+      makes positive share a prime of the divisor theory exactly when the
+      row is a multiple of some tau_j.  Else no facet lies in the row's
+      zero face, and as each facet is spanned by generators, the
+      generators the row makes positive are coprime.
+    - otherwise row p of A is c tau_j, and the extension has beta[p][j] = c.
     """
     if len(alpha.matrix[0]) != dt.monoid.ambient_rank:
         raise ValueError("alpha's row length must match the monoid's ambient rank")
@@ -421,80 +414,24 @@ def extend_embedding(dt, alpha, depth=DEFAULT_DEPTH):
         if any(x < 0 for x in alpha.image(g)):
             raise ValueError("alpha must map generators into the free monoid")
 
-    elements = _enumerate_elements(dt, depth, alpha)
-    if max(sum(t) for t in dt.generator_images()) > depth:
-        raise DepthInsufficientError("depth smaller than a generator's image")
+    basis = dt.lattice_basis
+    rows = la.transpose([alpha.image(b) for b in basis])
+    if la.rank(rows) < len(basis):
+        y = la.nullspace(rows)[0]
+        d = lcm(*(c.denominator for c in y))
+        return NotAnEmbedding(*_lift(dt, la.vec_mat(la.primitive([int(c * d) for c in y]), basis)))
+    x = _first_point_outside(dt.monoid, rows, basis)
+    if x is not None:
+        return ViolationStar(*_lift(dt, x), alpha.image(x))
 
-    by_alpha = {}
-    for e in elements:
-        other = by_alpha.get(e.alpha)
-        if other is not None:
-            return NotAnEmbedding(other.ambient, e.ambient)
-        by_alpha[e.alpha] = e
-
-    alpha_gen_images = tuple(alpha.image(g) for g in gens)
-
-    # condition (*): s in alpha(monoid) is decided exactly, since every
-    # alpha-image of a generator is nonnegative and nonzero; each distinct
-    # difference s is decided once
-    nonunit = elements[1:]
-    represented = {}
-    for a in nonunit:
-        for b in nonunit:
-            if a is b:
-                continue
-            s = tuple(x - y for x, y in zip(a.alpha, b.alpha))
-            if any(x < 0 for x in s) or all(x == 0 for x in s):
-                continue
-            if s not in represented:
-                represented[s] = _represents(s, alpha_gen_images, lambda x: min(x) >= 0)
-            if not represented[s]:
-                return ViolationStar(a.ambient, b.ambient, s)
-
-    def coprime(es):
-        """No divisor-theory prime divides every member of ``es``."""
-        return all(min(e.tau[j] for e in es) == 0 for j in range(dt.free_rank))
-
-    # condition (**): one maximal candidate subset per target prime
-    target_rank = alpha.target_rank
-    for p in range(target_rank):
-        subset = [e for e in nonunit if e.alpha[p] > 0]
-        if not subset or not coprime(subset):
+    beta = [[0] * dt.free_rank for _ in rows]
+    for p, row in enumerate(rows):
+        if la.is_zero_vec(row):
             continue
-        # prefer the generator subset when it is already coprime
-        gen_candidates = [e for e in subset if e.ambient in gens]
-        witness = gen_candidates if gen_candidates and coprime(gen_candidates) else subset
-        return ViolationStarStar(tuple(e.tau for e in witness), p + 1)
-
-    # construct the extension from divisibility-set matching
-    r = dt.free_rank
-    l_sets = []
-    for j in range(r):
-        lj = frozenset(i for i, e in enumerate(elements) if e.tau[j] > 0)
-        if not lj:
-            raise DepthInsufficientError("a divisor-theory prime divides no element in range")
-        l_sets.append(lj)
-    matrix = [[0] * r for _ in range(target_rank)]
-    matched = set()
-    for p in range(target_rank):
-        n_p = frozenset(i for i, e in enumerate(elements) if e.alpha[p] > 0)
-        if not n_p:
-            continue
-        js = [j for j in range(r) if l_sets[j] == n_p]
-        if len(js) != 1:
-            raise DepthInsufficientError(
-                "divisibility sets do not single out a divisor-theory prime")
-        j = js[0]
-        matched.add(j)
-        exponent = 1
-        while frozenset(i for i, e in enumerate(elements) if e.alpha[p] > exponent) == n_p:
-            exponent += 1
-        matrix[p][j] = exponent
-    if matched != set(range(r)):
-        raise DepthInsufficientError("some divisor-theory prime has no matching target prime")
-    beta = la.mat(matrix)
-    tau_gen = dt.generator_images()
-    for gi, ag in zip(tau_gen, alpha_gen_images):
-        if la.mat_vec(beta, gi) != ag:
-            raise DepthInsufficientError("candidate extension fails on a generator")
-    return Beta(beta)
+        tau = la.primitive(row)
+        if tau not in dt.functionals:
+            images = dt.generator_images()
+            return ViolationStarStar(tuple(dict.fromkeys(
+                im for g, im in zip(gens, images) if alpha.image(g)[p] > 0)), p + 1)
+        beta[p][dt.functionals.index(tau)] = la.vec_gcd(row)
+    return Beta(la.mat(beta))

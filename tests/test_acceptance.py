@@ -84,7 +84,7 @@ def test_c03_extension_violations_with_revalidation():
     m = AffineMonoid(4, gens)
     dt = divisor_theory(m)
     alpha = MonoidHom([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 0)])
-    res = extend_embedding(dt, alpha, depth=8)
+    res = extend_embedding(dt, alpha)
     assert res == ViolationStar(a=(1, 0, 1, 0), b=(1, 0, 0, 1), s=(0, 0, 1, 0))
     a_img, b_img = alpha.image(res.a), alpha.image(res.b)
     assert tuple(x - y for x, y in zip(a_img, b_img)) == res.s
@@ -96,7 +96,7 @@ def test_c03_extension_violations_with_revalidation():
     m2 = AffineMonoid(2, [(2, 0), (1, 1), (0, 2)])
     dt2 = divisor_theory(m2)
     alpha2 = MonoidHom.from_generator_images(m2, [(2, 0, 1), (1, 1, 1), (0, 2, 1)])
-    res2 = extend_embedding(dt2, alpha2, depth=8)
+    res2 = extend_embedding(dt2, alpha2)
     assert res2 == ViolationStarStar(witness_set=((2, 0), (1, 1), (0, 2)),
                                      common_prime_index=3)
     for j in range(dt2.free_rank):
@@ -117,7 +117,7 @@ def test_c04_extension_of_divisor_theory_is_identity():
         m = AffineMonoid(rank, gens)
         dt = divisor_theory(m)
         alpha = MonoidHom.from_generator_images(m, list(dt.generator_images()))
-        res = extend_embedding(dt, alpha, depth=8)
+        res = extend_embedding(dt, alpha)
         assert isinstance(res, Beta)
         assert res.matrix == la.identity(dt.free_rank)
     report(4, "PASS", "extending the divisor theory along itself gives the "

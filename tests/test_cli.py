@@ -347,20 +347,29 @@ def test_mutated_payloads_keep_the_cli_contract(tmp_path, path):
     ["quotient-report", "quotient-report-q8", "--cap", "-1"],
     ["reynolds", "reynolds-plus-minus", "--cap", "0"],
     ["check-axioms", "check-axioms-4-6-9", "--depth", "-1"],
-    ["extend", "extend-star-violation", "--depth", "-2"],
 ], ids=" ".join)
 def test_bound_flags_below_minimum_exit_2(argv):
     command, fixture, *flags = argv
     _assert_malformed(*run_cli([command, str(FIXTURE_DIR / f"{fixture}.json"), *flags]))
 
 
-@pytest.mark.parametrize("command,fixture", [("check-axioms", "check-axioms-4-6-9"),
-                                             ("extend", "extend-star-violation")])
+@pytest.mark.parametrize("command,fixture", [("check-axioms", "check-axioms-4-6-9")])
 def test_negative_payload_depth_exit_2(tmp_path, command, fixture):
     payload = json.loads((FIXTURE_DIR / f"{fixture}.json").read_text())["payload"]
     p = tmp_path / "depth.json"
     p.write_text(json.dumps(dict(payload, depth=-1)))
     _assert_malformed(*run_cli([command, str(p)]))
+
+
+def test_extend_takes_no_depth(tmp_path):
+    """extend is exact: a depth in its payload or on the command line, even
+    a negative one, leaves its answer as it is."""
+    doc = json.loads((FIXTURE_DIR / "extend-star-violation.json").read_text())
+    p = tmp_path / "depth.json"
+    p.write_text(json.dumps(dict(doc["payload"], depth=-1)))
+    want = json.dumps(doc["expected"], sort_keys=True, separators=(",", ":")) + "\n"
+    assert run_cli(["extend", str(p)]) == (0, want)
+    assert run_cli(["extend", str(p), "--depth", "0"]) == (0, want)
 
 
 @pytest.mark.parametrize("degree,flags", [(0, []), (-1, []), ("2x", ["--cap", "1"])],

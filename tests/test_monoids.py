@@ -1,16 +1,17 @@
 import itertools
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 
 from coxtools import intlinalg as la
 from coxtools import monoids
-from coxtools.cones import NonPointedError, hilbert_basis
+from coxtools.cones import Cone, NonPointedError, hilbert_basis
 from coxtools.monoids import (AffineMonoid, AxiomReport, Beta, DivisorTheory, MonoidHom,
                               NotAnEmbedding, NotSaturatedError, ViolationStar,
-                              ViolationStarStar, _enumerate_elements, divisor_theory,
-                              extend_embedding, is_saturated, verify_divisor_axioms)
+                              ViolationStarStar, divisor_theory, extend_embedding, is_saturated,
+                              verify_divisor_axioms)
 
 
 def test_units_rejected():
@@ -196,6 +197,148 @@ def test_axioms_do_not_depend_on_depth(dt_10_14_15_21):
         {d: (True, (), d) for d in (0, 6, 10)}
 
 
+# -- the depth-bounded searches that the exact checks replaced -----------------------
+#
+# The element enumeration and the extension search that extend_embedding ran
+# before it became exact, kept verbatim as the test-only reference.
+
+class DepthInsufficientError(ValueError):
+    """The bounded search neither produced an extension nor a violation."""
+
+
+@dataclass(frozen=True)
+class _Element:
+    ambient: tuple
+    tau: tuple
+    alpha: tuple = None
+
+
+def _enumerate_elements(dt, depth, alpha=None):
+    """Monoid elements with divisor-image coordinate sum <= depth.
+
+    Elements appear ordered by total generator degree and then by
+    lexicographic exponent vector; duplicates keep their first
+    occurrence.  The unit comes first.
+    """
+    gens = dt.monoid.generators
+    tau_images = dt.generator_images()
+    alpha_images = tuple(alpha.image(g) for g in gens) if alpha else None
+    seen = {}
+    order = []
+    unit = _Element((0,) * dt.monoid.ambient_rank, (0,) * dt.free_rank,
+                    (0,) * alpha.target_rank if alpha else None)
+    seen[unit.tau] = unit
+    order.append(unit)
+    # every generator image has coordinate sum >= 1, so degree <= depth
+    for degree in range(1, depth + 1):
+        for expo in la.compositions(degree, len(gens)):
+            tau = la.vec_mat(expo, tau_images)
+            if sum(tau) > depth or tau in seen:
+                continue
+            el = _Element(la.vec_mat(expo, gens), tau,
+                          la.vec_mat(expo, alpha_images) if alpha else None)
+            seen[tau] = el
+            order.append(el)
+    return order
+
+
+def _reference_extend_embedding(dt, alpha, depth):
+    """Extend ``alpha`` through the divisor theory, or find a violation.
+
+    Checks, in order: injectivity of alpha (up to depth), condition (*),
+    condition (**), and finally constructs the extension matrix from the
+    divisibility-set correspondence between primes of the target and
+    primes of the divisor theory.  Raises DepthInsufficientError when
+    the bounded data cannot settle the answer.
+    """
+    if len(alpha.matrix[0]) != dt.monoid.ambient_rank:
+        raise ValueError("alpha's row length must match the monoid's ambient rank")
+    gens = dt.monoid.generators
+    for g in gens:
+        if all(x == 0 for x in alpha.image(g)):
+            return NotAnEmbedding(g, (0,) * dt.monoid.ambient_rank)
+        if any(x < 0 for x in alpha.image(g)):
+            raise ValueError("alpha must map generators into the free monoid")
+
+    elements = _enumerate_elements(dt, depth, alpha)
+    if max(sum(t) for t in dt.generator_images()) > depth:
+        raise DepthInsufficientError("depth smaller than a generator's image")
+
+    by_alpha = {}
+    for e in elements:
+        other = by_alpha.get(e.alpha)
+        if other is not None:
+            return NotAnEmbedding(other.ambient, e.ambient)
+        by_alpha[e.alpha] = e
+
+    alpha_gen_images = tuple(alpha.image(g) for g in gens)
+
+    # condition (*): s in alpha(monoid) is decided exactly, since every
+    # alpha-image of a generator is nonnegative and nonzero; each distinct
+    # difference s is decided once
+    nonunit = elements[1:]
+    represented = {}
+    for a in nonunit:
+        for b in nonunit:
+            if a is b:
+                continue
+            s = tuple(x - y for x, y in zip(a.alpha, b.alpha))
+            if any(x < 0 for x in s) or all(x == 0 for x in s):
+                continue
+            if s not in represented:
+                represented[s] = monoids._represents(s, alpha_gen_images, lambda x: min(x) >= 0)
+            if not represented[s]:
+                return ViolationStar(a.ambient, b.ambient, s)
+
+    def coprime(es):
+        """No divisor-theory prime divides every member of ``es``."""
+        return all(min(e.tau[j] for e in es) == 0 for j in range(dt.free_rank))
+
+    # condition (**): one maximal candidate subset per target prime
+    target_rank = alpha.target_rank
+    for p in range(target_rank):
+        subset = [e for e in nonunit if e.alpha[p] > 0]
+        if not subset or not coprime(subset):
+            continue
+        # prefer the generator subset when it is already coprime
+        gen_candidates = [e for e in subset if e.ambient in gens]
+        witness = gen_candidates if gen_candidates and coprime(gen_candidates) else subset
+        return ViolationStarStar(tuple(e.tau for e in witness), p + 1)
+
+    # construct the extension from divisibility-set matching
+    r = dt.free_rank
+    l_sets = []
+    for j in range(r):
+        lj = frozenset(i for i, e in enumerate(elements) if e.tau[j] > 0)
+        if not lj:
+            raise DepthInsufficientError("a divisor-theory prime divides no element in range")
+        l_sets.append(lj)
+    matrix = [[0] * r for _ in range(target_rank)]
+    matched = set()
+    for p in range(target_rank):
+        n_p = frozenset(i for i, e in enumerate(elements) if e.alpha[p] > 0)
+        if not n_p:
+            continue
+        js = [j for j in range(r) if l_sets[j] == n_p]
+        if len(js) != 1:
+            raise DepthInsufficientError(
+                "divisibility sets do not single out a divisor-theory prime")
+        j = js[0]
+        matched.add(j)
+        exponent = 1
+        while frozenset(i for i, e in enumerate(elements) if e.alpha[p] > exponent) == n_p:
+            exponent += 1
+        matrix[p][j] = exponent
+    if matched != set(range(r)):
+        raise DepthInsufficientError("some divisor-theory prime has no matching target prime")
+    beta = la.mat(matrix)
+    tau_gen = dt.generator_images()
+    for gi, ag in zip(tau_gen, alpha_gen_images):
+        if la.mat_vec(beta, gi) != ag:
+            raise DepthInsufficientError("candidate extension fails on a generator")
+    return Beta(beta)
+
+
 # -- the exact axiom check against the depth-bounded scan ----------------------------
 #
 # The pair scan and divisibility-set buckets that verify_divisor_axioms ran
@@ -331,10 +474,111 @@ def test_exact_axioms_match_the_depth_scan_on_random_monoids():
     assert min(failed.values()) > 0 and sum(failed.values()) < 420
 
 
+# -- the exact extension against the depth-bounded search ----------------------------
+
+# the order in which extend_embedding decides, earliest failure first
+_KINDS = (NotAnEmbedding, ViolationStar, ViolationStarStar, Beta)
+
+
+def _unimodular(rng, n):
+    """A seeded integer matrix of determinant +-1: 2n elementary row
+    operations with multipliers +-1."""
+    u = [list(row) for row in la.identity(n)]
+    for _ in range(2 * n):
+        i, j = rng.sample(range(n), 2)
+        k = rng.choice((-1, 1))
+        u[i] = [x + k * y for x, y in zip(u[i], u[j])]
+    return u
+
+
+def _seeded_saturated_monoids(rng, count):
+    """4,6,9, 10,14,15,21 and the Hilbert bases of seeded cones in ZZ^2 and
+    ZZ^3, each under a seeded unimodular change of coordinates."""
+    models = [[(2, 0), (1, 1), (0, 2)], [(1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1)]]
+    while len(models) < count:
+        n = rng.choice((2, 3))
+        rays = [r for r in {tuple(rng.randint(0, 2) for _ in range(n))
+                            for _ in range(rng.randint(2, n + 1))} if any(r)]
+        if rays:
+            models.append(hilbert_basis(Cone(n, rays)))
+    out = []
+    for gens in models:
+        u = _unimodular(rng, len(gens[0]))
+        out.append(AffineMonoid(len(u), [la.vec_mat(g, u) for g in gens]))
+    return out
+
+
+def _seeded_alpha(rng, dt):
+    """The divisor theory's ambient functionals permuted and scaled by 1 or
+    2, then maybe with one row zeroed (sometimes added to another row
+    first) and maybe with an extra row, a 0/1 combination of the
+    functionals."""
+    funcs = list(dt.ambient_functionals())
+    rng.shuffle(funcs)
+    rows = [la.vec_scale(f, rng.randint(1, 2)) for f in funcs]
+    if rng.random() < 0.5:
+        i, j = rng.randrange(len(rows)), rng.randrange(len(rows))
+        if i != j and rng.random() < 0.5:
+            rows[j] = tuple(x + y for x, y in zip(rows[j], rows[i]))
+        rows[i] = (0,) * len(funcs[0])
+    if rng.random() < 0.5:
+        rows.append(la.vec_mat([rng.randint(0, 1) for _ in funcs], funcs))
+    return MonoidHom(rows)
+
+
+def _assert_valid(dt, alpha, result):
+    """Check an answer of extend_embedding against the raw definitions."""
+    m = dt.monoid
+    gen_images = [alpha.image(g) for g in m.generators]
+    if isinstance(result, Beta):
+        assert min(map(min, result.matrix)) >= 0
+        assert [la.mat_vec(result.matrix, t) for t in dt.generator_images()] == gen_images
+    elif isinstance(result, NotAnEmbedding):
+        assert result.a != result.b and m.contains(result.a) and m.contains(result.b)
+        assert alpha.image(result.a) == alpha.image(result.b)
+    elif isinstance(result, ViolationStar):
+        assert m.contains(result.a) and m.contains(result.b)
+        s = la.vec_sub(alpha.image(result.a), alpha.image(result.b))
+        assert s == result.s and min(s) >= 0
+        assert not monoids._represents(s, gen_images, lambda x: min(x) >= 0)
+    else:
+        p = result.common_prime_index - 1
+        assert all(min(t[j] for t in result.witness_set) == 0 for j in range(dt.free_rank))
+        for t in result.witness_set:
+            x = dt.preimage(t)
+            assert m.contains(x) and alpha.image(x)[p] > 0
+
+
+def test_exact_extension_matches_the_depth_search():
+    """310 cases.  Where the depth-6 search answers (300 of them), it gives
+    the same kind and the same extension, or it missed an earlier failure
+    that the exact decision finds; every exact answer is checked on its own."""
+    rng = random.Random(20261019)
+    kinds, answered, earlier = dict.fromkeys(_KINDS, 0), 0, 0
+    for m in _seeded_saturated_monoids(rng, 62):
+        dt = divisor_theory(m)
+        for _ in range(5):
+            alpha = _seeded_alpha(rng, dt)
+            result = extend_embedding(dt, alpha)
+            _assert_valid(dt, alpha, result)
+            kinds[type(result)] += 1
+            try:
+                reference = _reference_extend_embedding(dt, alpha, 6)
+            except DepthInsufficientError:
+                continue
+            answered += 1
+            if type(reference) is type(result):
+                assert not isinstance(result, Beta) or result == reference
+            else:
+                assert _KINDS.index(type(result)) < _KINDS.index(type(reference))
+                earlier += 1
+    assert min(kinds.values()) > 0 and answered >= 290 and earlier > 0, (kinds, answered, earlier)
+
+
 def test_extension_star_violation(dt_10_14_15_21):
     # 10 -> 10, 14 -> 2, 15 -> 15, 21 -> 3 over the primes 2, 3, 5, 7
     alpha = MonoidHom([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 0)])
-    result = extend_embedding(dt_10_14_15_21, alpha, depth=8)
+    result = extend_embedding(dt_10_14_15_21, alpha)
     assert result == ViolationStar(a=(1, 0, 1, 0), b=(1, 0, 0, 1), s=(0, 0, 1, 0))
     # witness revalidates against the raw condition
     assert tuple(x - y for x, y in zip(alpha.image(result.a), alpha.image(result.b))) \
@@ -344,7 +588,7 @@ def test_extension_star_violation(dt_10_14_15_21):
 def test_extension_star_star_violation(dt_469, monoid_469):
     # 4 -> 20, 6 -> 30, 9 -> 45 over the primes 2, 3, 5
     alpha = MonoidHom.from_generator_images(monoid_469, [(2, 0, 1), (1, 1, 1), (0, 2, 1)])
-    result = extend_embedding(dt_469, alpha, depth=8)
+    result = extend_embedding(dt_469, alpha)
     assert isinstance(result, ViolationStarStar)
     assert result.witness_set == ((2, 0), (1, 1), (0, 2))
     assert result.common_prime_index == 3
@@ -359,14 +603,14 @@ def test_extension_star_star_violation(dt_469, monoid_469):
 
 def test_extension_identity_469(dt_469, monoid_469):
     alpha = MonoidHom.from_generator_images(monoid_469, list(dt_469.generator_images()))
-    assert extend_embedding(dt_469, alpha, depth=8) == Beta(((1, 0), (0, 1)))
+    assert extend_embedding(dt_469, alpha) == Beta(((1, 0), (0, 1)))
 
 
 def test_extension_identity_10_14_15_21(dt_10_14_15_21, monoid_10_14_15_21):
     dt = dt_10_14_15_21
     alpha = MonoidHom.from_generator_images(monoid_10_14_15_21,
                                             list(dt.generator_images()))
-    result = extend_embedding(dt, alpha, depth=8)
+    result = extend_embedding(dt, alpha)
     assert isinstance(result, Beta)
     assert result.matrix == tuple(tuple(1 if i == j else 0 for j in range(4))
                                   for i in range(4))
@@ -377,7 +621,7 @@ def test_extension_beta_commutes(dt_469, monoid_469):
     # a non-identity but conforming alpha: double every functional image
     images = [tuple(2 * x for x in im) for im in dt_469.generator_images()]
     alpha = MonoidHom.from_generator_images(monoid_469, images)
-    result = extend_embedding(dt_469, alpha, depth=10)
+    result = extend_embedding(dt_469, alpha)
     assert isinstance(result, Beta)
     assert result.matrix == ((2, 0), (0, 2))
     for g in monoid_469.generators:
@@ -389,7 +633,7 @@ def test_extension_into_larger_free_monoid(dt_469, monoid_469):
     # gains a zero row
     images = [im + (0,) for im in dt_469.generator_images()]
     alpha = MonoidHom.from_generator_images(monoid_469, images)
-    result = extend_embedding(dt_469, alpha, depth=8)
+    result = extend_embedding(dt_469, alpha)
     assert result == Beta(((1, 0), (0, 1), (0, 0)))
 
 
@@ -400,7 +644,7 @@ def test_extension_beta_uniqueness_small_kernel_search(dt_10_14_15_21, monoid_10
     dt = dt_10_14_15_21
     alpha = MonoidHom.from_generator_images(monoid_10_14_15_21,
                                             list(dt.generator_images()))
-    beta = extend_embedding(dt, alpha, depth=8).matrix
+    beta = extend_embedding(dt, alpha).matrix
     images = dt.generator_images()
     kernel = la.nullspace(la.transpose(la.mat(images)))  # rows x with x . images == 0
     assert len(kernel) == 1
@@ -420,27 +664,31 @@ def test_extension_beta_uniqueness_small_kernel_search(dt_10_14_15_21, monoid_10
     assert found == [beta]
 
 
-def test_extension_decides_each_star_difference_once(monkeypatch):
-    """N -> N by x -> 2x at depth 60: the pairs of elements 1..60 give 1770
-    positive differences s but only the 59 distinct ones 2, 4, ..., 118."""
+def test_extension_doubling_on_n():
     dt = divisor_theory(AffineMonoid(1, [(1,)]))
-    calls = []
-    represents = monoids._represents
+    assert extend_embedding(dt, MonoidHom([["2"]])) == Beta(((2,),))
 
-    def counted(t, vectors, inside):
-        calls.append(t)
-        return represents(t, vectors, inside)
 
-    monkeypatch.setattr(monoids, "_represents", counted)
-    assert extend_embedding(dt, MonoidHom([["2"]]), depth=60) == Beta(((2,),))
-    assert sorted(calls) == [(2 * d,) for d in range(1, 60)]
+def test_injectivity_is_decided_before_star():
+    """alpha(x, y) = 9x + 10y kills x = (-10, 9).  The depth-8 search met
+    no collision and read a (*) violation; at depth 12 it met one.  No
+    single generator lifts x into N^2, so b is the least multiple of the
+    generators' sum that does."""
+    m = AffineMonoid(2, [(1, 0), (0, 1)])
+    dt, alpha = divisor_theory(m), MonoidHom([[9, 10]])
+    assert isinstance(_reference_extend_embedding(dt, alpha, 8), ViolationStar)
+    assert isinstance(_reference_extend_embedding(dt, alpha, 12), NotAnEmbedding)
+    result = extend_embedding(dt, alpha)
+    assert result == NotAnEmbedding(a=(0, 19), b=(10, 10))
+    assert m.contains(result.a) and m.contains(result.b)
+    assert alpha.image(result.a) == alpha.image(result.b)
 
 
 def test_not_an_embedding():
     m = AffineMonoid(2, [(1, 0), (0, 1)])
     dt = divisor_theory(m)
     alpha = MonoidHom([(1, 1)])  # both generators map to the same element
-    result = extend_embedding(dt, alpha, depth=6)
+    result = extend_embedding(dt, alpha)
     assert isinstance(result, NotAnEmbedding)
 
 
@@ -449,19 +697,12 @@ def test_extend_rejects_alpha_of_the_wrong_width(dt_469, matrix):
     """Rows shorter than the ambient rank used to end in an IndexError and
     longer ones were cut silently."""
     with pytest.raises(ValueError, match="ambient rank"):
-        extend_embedding(dt_469, MonoidHom(matrix), depth=6)
+        extend_embedding(dt_469, MonoidHom(matrix))
 
 
 def test_monoid_hom_rejects_ragged_rows():
     with pytest.raises(ValueError, match="equal length"):
         MonoidHom([(1, 0), (1,)])
-
-
-def test_depth_insufficient(dt_469, monoid_469):
-    from coxtools.monoids import DepthInsufficientError
-    alpha = MonoidHom.from_generator_images(monoid_469, list(dt_469.generator_images()))
-    with pytest.raises(DepthInsufficientError):
-        extend_embedding(dt_469, alpha, depth=1)
 
 
 def test_monoid_contains():
