@@ -3,6 +3,11 @@
 Elements of QQ(zeta_n) are represented by rational coefficient vectors
 of length phi(n), reduced modulo the n-th cyclotomic polynomial, which
 is computed by recursively dividing x^n - 1 by the lower-order factors.
+
+The public constructor coerces to ``Fraction`` and reduces; ``+``, ``-``
+and ``*`` keep their reduced ``Fraction`` tuples through ``_trusted``.
+``*`` multiplies only nonzero coefficient pairs, and the reduction reads
+only the nonzero coefficients of Phi_n.
 """
 
 from fractions import Fraction
@@ -72,6 +77,14 @@ class CycloNum:
         self.coeffs = tuple(cs[:deg])
 
     @classmethod
+    def _trusted(cls, conductor, coeffs):
+        """A CycloNum holding ``coeffs``: phi(conductor) reduced ``Fraction``s."""
+        x = object.__new__(cls)
+        x.conductor = conductor
+        x.coeffs = coeffs
+        return x
+
+    @classmethod
     def rational(cls, conductor, value):
         return cls(conductor, (Fraction(value),))
 
@@ -91,27 +104,29 @@ class CycloNum:
 
     def __add__(self, other):
         other = self._check(other)
-        return CycloNum(self.conductor, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return self._trusted(self.conductor, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycloNum(self.conductor, tuple(-a for a in self.coeffs))
+        return self._trusted(self.conductor, tuple(-a for a in self.coeffs))
 
     def __sub__(self, other):
         return self + (-self._check(other))
 
+    def __rsub__(self, other):
+        return -self + other
+
     def __mul__(self, other):
         other = self._check(other)
-        if self.is_zero() or other.is_zero():
-            return CycloNum(self.conductor)
-        prod = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        prod = [_ZERO] * (2 * len(self.coeffs) - 1)
+        terms = [(j, b) for j, b in enumerate(other.coeffs) if b]
         for i, a in enumerate(self.coeffs):
             if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        prod[i + j] += a * b
-        return CycloNum(self.conductor, prod)
+                for j, b in terms:
+                    c = prod[i + j]  # a slot no product reached yet takes it as it is
+                    prod[i + j] = a * b if c is _ZERO else c + a * b
+        return self._trusted(self.conductor, tuple(_reduce(prod, self.conductor)))
 
     __rmul__ = __mul__
 
@@ -139,16 +154,16 @@ class CycloNum:
         return self._check(other) * self.inverse()
 
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def __bool__(self):
         return not self.is_zero()
 
     def is_one(self):
-        return self.coeffs[0] == 1 and all(c == 0 for c in self.coeffs[1:])
+        return self.coeffs[0] == 1 and not any(self.coeffs[1:])
 
     def is_rational(self):
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.coeffs[1:])
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -185,14 +200,22 @@ class CycloNum:
         return "".join(parts)
 
 
-def _reduce(coeffs, n):
+_ZERO = Fraction(0)
+
+
+@lru_cache(maxsize=None)
+def _phi_tail(n):
+    """phi(n) and (j, -c_j) for each nonzero c_j, j < phi(n), of Phi_n."""
     phi = cyclotomic_polynomial(n)
-    deg = len(phi) - 1
+    return len(phi) - 1, tuple((j, -c) for j, c in enumerate(phi[:-1]) if c)
+
+
+def _reduce(coeffs, n):
+    deg, tail = _phi_tail(n)
     cs = list(coeffs)
     for i in range(len(cs) - 1, deg - 1, -1):
         c = cs[i]
         if c:
-            for j in range(deg + 1):
-                cs[i - deg + j] -= c * phi[j]
+            for j, t in tail:
+                cs[i - deg + j] += c * t
     return cs[:deg]
-

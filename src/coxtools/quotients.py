@@ -51,18 +51,17 @@ def c_identity(conductor, n):
 
 
 def c_mul(a, b):
-    n = len(a)
-    m = len(b[0])
-    k = len(b)
+    """The matrix product a @ b over a cyclotomic field.  Only nonzero
+    entry pairs are multiplied, and each entry's sum starts from its first
+    product, so a product of monomial matrices costs one multiplication
+    per row."""
+    zero = CycloNum(a[0][0].conductor)
+    cols = tuple(zip(*b))
     out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = CycloNum(a[0][0].conductor)
-            for t in range(k):
-                acc = acc + a[i][t] * b[t][j]
-            row.append(acc)
-        out.append(tuple(row))
+    for row in a:
+        terms = [(t, x) for t, x in enumerate(row) if x]
+        prods = ([x * col[t] for t, x in terms if col[t]] for col in cols)
+        out.append(tuple(sum(p[1:], p[0]) if p else zero for p in prods))
     return tuple(out)
 
 

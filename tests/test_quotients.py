@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from coxtools import intlinalg as la
 from coxtools import quotients
@@ -64,6 +65,11 @@ def test_cyclonum_zero_test_and_reciprocal(monkeypatch):
         assert len(calls) == 1
 
 
+def _random_cyclonum(rng, n, density=0.7):
+    return CycloNum(n, [Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+                        if rng.random() < density else 0 for _ in range(euler_phi(n))])
+
+
 def test_inverse_of_random_elements():
     """x * x.inverse() is one for seeded rational-coefficient elements of
     every conductor 1..30 (phi(1) == phi(2) == 1)."""
@@ -71,12 +77,44 @@ def test_inverse_of_random_elements():
     checked = 0
     for n in range(1, 31):
         for _ in range(11):
-            x = CycloNum(n, [Fraction(rng.randint(-6, 6), rng.randint(1, 5))
-                             if rng.random() < 0.7 else 0 for _ in range(euler_phi(n))])
+            x = _random_cyclonum(rng, n)
             if x:
                 assert (x * x.inverse()).is_one()
                 checked += 1
     assert checked >= 300
+
+
+def test_subtraction_from_a_rational():
+    for n in (1, 3, 4, 5, 12):
+        z = CycloNum.zeta(n)
+        for c in (1, -3, Fraction(2, 7)):
+            assert c - z == CycloNum.rational(n, c) - z
+            assert (c - z) + z == c
+        assert Fraction(1, 2) - CycloNum(n) == CycloNum.rational(n, Fraction(1, 2))
+
+
+def test_arithmetic_results_hold_the_constructor_invariant():
+    """+, -, unary - and * build their results without the public
+    constructor; each must equal its rebuilt value, with phi(n) Fraction
+    coefficients and the same hash.  The products are also checked
+    against sympy's remainder modulo Phi_n."""
+    x = sympy.Symbol("x")
+    rng = random.Random(18)
+    for n in range(1, 31):
+        deg = euler_phi(n)
+        phi = sympy.Poly(sympy.cyclotomic_poly(n, x), x)
+        elements = [CycloNum(n), CycloNum.rational(n, Fraction(-3, 4)), CycloNum.zeta(n)]
+        elements += [_random_cyclonum(rng, n, density) for density in (0.2, 0.7, 1.0)]
+        for a, b in itertools.product(elements, repeat=2):
+            prod = a * b
+            for r in (a + b, a - b, -a, prod):
+                rebuilt = CycloNum(n, r.coeffs)
+                assert r == rebuilt and hash(r) == hash(rebuilt)
+                assert len(r.coeffs) == deg
+                assert all(isinstance(c, Fraction) for c in r.coeffs)
+            full = sympy.Poly(a.coeffs[::-1], x) * sympy.Poly(b.coeffs[::-1], x)
+            want = [Fraction(str(c)) for c in full.rem(phi).all_coeffs()[::-1]]
+            assert list(prod.coeffs) == want + [0] * (deg - len(want))
 
 
 def _power(z, k):
@@ -139,6 +177,80 @@ def test_closure_cap():
     zero = CycloNum(5)
     with pytest.raises(ClosureCapExceededError):
         close_group([[[z, zero], [zero, z]]], conductor=5, cap=3)
+
+
+def _reference_c_mul(a, b):
+    """The dense product: every entry pair multiplied, each sum from zero."""
+    n = len(a)
+    m = len(b[0])
+    k = len(b)
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(m):
+            acc = CycloNum(a[0][0].conductor)
+            for t in range(k):
+                acc = acc + a[i][t] * b[t][j]
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def _random_matrix(rng, n, rows, cols, kind):
+    zero = CycloNum(n)
+    if kind == "dense":
+        return tuple(tuple(_random_cyclonum(rng, n) for _ in range(cols)) for _ in range(rows))
+    if kind == "monomial":
+        cs = rng.sample(range(cols), rows) if rows <= cols else \
+            [rng.randrange(cols) for _ in range(rows)]
+        return tuple(tuple(_random_cyclonum(rng, n, 1.0) if c == cs[r] else zero
+                           for c in range(cols)) for r in range(rows))
+    zero_row = rng.randrange(rows)
+    return tuple(tuple(zero if r == zero_row else _random_cyclonum(rng, n, 0.5)
+                       for _ in range(cols)) for r in range(rows))
+
+
+def test_c_mul_matches_the_dense_product():
+    rng = random.Random(3)
+    kinds = ("dense", "monomial", "zero-row")
+    for n in (1, 3, 4, 5, 8, 12):
+        for _ in range(12):
+            rows, inner, cols = (rng.randint(1, 4) for _ in range(3))
+            for ka, kb in itertools.product(kinds, repeat=2):
+                a = _random_matrix(rng, n, rows, inner, ka)
+                b = _random_matrix(rng, n, inner, cols, kb)
+                assert c_mul(a, b) == _reference_c_mul(a, b)
+
+
+def test_closure_multiplies_only_nonzero_entry_pairs(monkeypatch):
+    """G(4,1,2) is monomial: each of its 32 * 3 closure products of 2x2
+    matrices has exactly two nonzero entry pairs, so the closure makes 192
+    entry multiplications where the dense product makes 768."""
+    z = CycloNum.zeta(4)
+    zero, one = CycloNum(4), CycloNum.rational(4, 1)
+    gens = [[[zero, one], [one, zero]], [[zero, z.inverse()], [z, zero]], [[z, zero], [zero, one]]]
+    counts = {"c_mul": 0, "mul": 0}
+    inside = [False]
+    mul, matmul = CycloNum.__mul__, quotients.c_mul
+
+    def counting_mul(self, other):
+        counts["mul"] += inside[0]
+        return mul(self, other)
+
+    def counting_c_mul(a, b):
+        counts["c_mul"] += 1
+        inside[0] = True
+        out = matmul(a, b)
+        inside[0] = False
+        return out
+
+    monkeypatch.setattr(CycloNum, "__mul__", counting_mul)
+    monkeypatch.setattr(quotients, "c_mul", counting_c_mul)
+    group = close_group(gens, conductor=4)
+    pairs = sum(1 for e in group.elements for g in group.generators
+                for i, t, j in itertools.product(range(2), repeat=3) if e[i][t] and g[t][j])
+    assert group.order == 32
+    assert counts == {"c_mul": 96, "mul": pairs} and pairs == 192
 
 
 def test_conductor_inferred_from_any_cyclotomic_entry():
