@@ -189,8 +189,7 @@ class CycloNum:
             if c == 0:
                 continue
             mag = abs(c)
-            coeff = "" if (mag == 1 and i > 0) else (
-                str(mag.numerator) if mag.denominator == 1 else f"{mag.numerator}/{mag.denominator}")
+            coeff = "" if (mag == 1 and i > 0) else str(mag)
             var = "" if i == 0 else ("z" if i == 1 else f"z^{i}")
             body = coeff + ("*" if coeff and var else "") + var
             if not parts:

@@ -204,11 +204,11 @@ class Poly:
                     factors.append(f"{names[i]}^{k}")
             mag = abs(c)
             if not factors:
-                body = _frac_str(mag)
+                body = str(mag)
             elif mag == 1:
                 body = "*".join(factors)
             else:
-                body = "*".join([_frac_str(mag)] + factors)
+                body = "*".join([str(mag)] + factors)
             if not parts:
                 parts.append(body if c > 0 else f"-{body}")
             else:
@@ -217,10 +217,6 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self.render()})"
-
-
-def _frac_str(f):
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
 class PolyMap:

@@ -113,6 +113,15 @@ def test_violation_exits_zero():
     assert json.loads(out)["kind"] == "violation_star"
 
 
+def test_not_an_embedding_exits_zero(tmp_path):
+    # alpha = (1, 1) sends the generators (2, 0) and (1, 1) both to 2
+    p = tmp_path / "alpha.json"
+    p.write_text(json.dumps({"monoid": {"ambient_rank": 2, "generators": [[2, 0], [1, 1], [0, 2]]},
+                             "alpha": {"matrix": [["1", "1"]]}}))
+    assert run_cli(["extend", str(p)]) == \
+        (0, '{"a":["1","1"],"b":["2","0"],"kind":"not_an_embedding"}\n')
+
+
 def test_malformed_input_exit_2(tmp_path):
     p = tmp_path / "garbage.json"
     p.write_text("{not json")
@@ -173,6 +182,9 @@ Q8_GROUP = json.loads((FIXTURE_DIR / "quotient-report-q8.json").read_text())["pa
     {"dim": 0, "generators": [[]]},
     {"conductor": 0},
     {"conductor": -4},
+    # a zero denominator, as a rational entry and as a cyclotomic coefficient
+    {"dim": 1, "conductor": 2, "generators": [[["1/0"]]]},
+    {"dim": 1, "conductor": 2, "generators": [[[["0", "1/0"]]]]},
 ], ids=lambda c: json.dumps(c))
 def test_malformed_group_exit_2(tmp_path, command, change):
     group = dict(Q8_GROUP, **change)
@@ -239,6 +251,9 @@ PLANE_LIFT = {"cone": {"ambient_rank": 2, "rays": [[1, 0], [0, 1]]},
                 "alpha": {"matrix": [[0]]}}),
     ("extend", {"monoid": {"ambient_rank": 2, "generators": [[2, 0], [1, 1], [0, 2]]},
                 "alpha": {"matrix": [[1, 0, 7], [0, 1, 7]]}}),
+    # a zero denominator used to escape as a ZeroDivisionError with exit 1
+    ("extend", {"monoid": {"ambient_rank": 2, "generators": [[2, 0], [1, 1], [0, 2]]},
+                "alpha": {"matrix": [["1/0", "0"], ["0", "1"]]}}),
     ("wildness-cert", [{"sequence": []}]),
     # duplicate variable names
     ("compose", {"num_vars": 2, "var_names": ["a", "a"], "maps": [["a", "a"]]}),
