@@ -16,12 +16,17 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from math import comb
 
 from .errors import DOMAIN_ERRORS, NotSaturatedError
 
 # CycloNum builds the n-th cyclotomic polynomial by dividing x^n - 1 through
 # every lower cyclotomic factor; the fixtures and tests use conductors <= 24
 MAX_CONDUCTOR = 1000
+# reynolds_invariants builds a dense N x N block per generator over the
+# N = C(degree + dim - 1, dim - 1) monomials of the degree; degree 40 in
+# dimension 3 (N = 861) peaks at about 54 MB
+MAX_MONOMIALS = 1000
 
 
 class InputError(Exception):
@@ -415,6 +420,9 @@ def cmd_reynolds(doc, args):
     from .quotients import close_group, reynolds_invariants
     conductor, gens = _decode_group(_require(doc, "group"))
     degree = _at_least(_as_int(_require(doc, "degree")), 1, "degree")
+    dim = len(gens[0])
+    if comb(degree + dim - 1, dim - 1) > MAX_MONOMIALS:
+        raise InputError(f"degree {degree} has over {MAX_MONOMIALS} monomials in dimension {dim}")
     group = close_group(gens, conductor=conductor, cap=_cap(args))
     basis = reynolds_invariants(group, degree)
     names = [f"x{i + 1}" for i in range(group.dim)]

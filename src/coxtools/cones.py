@@ -8,8 +8,11 @@ extreme rays, and sorted lexicographically.
 
 All cone computations happen in coordinates of the saturated sublattice
 ``L ∩ span(rays)``, so non-full-dimensional input is handled by
-restricting to its span first.  Facet normals are computed with the
-double description method using exact integer pivots.  Hilbert bases
+restricting to its span first.  Facet normals come from an integer double
+description whose adjacency test is combinatorial: every ray carries its
+tight set, the facets (or halfspaces so far) vanishing on it, and a
+generator spans an extreme ray exactly when no other generator's tight
+set contains its own, so no rank test decides extremality.  Hilbert bases
 come from the parallelepipeds of one pulling triangulation, built from
 the facets' tight sets, and are reduced by comparing facet values.
 """
@@ -37,17 +40,18 @@ def _inside(dual, x):
     return all(la.dot(d, x) >= 0 for d in dual)
 
 
-def _is_extreme(r, normals, dim):
-    """Is r tight on dim - 1 independent normals (an extreme ray)?"""
-    return la.rank([n for n in normals if la.dot(n, r) == 0]) == dim - 1
-
-
 def _dual_extreme_rays(normals, dim):
     """Extreme rays of {x : n.x >= 0 for all n}, assuming the normals span.
 
-    Incremental double description: seed with a simplicial cone cut out
-    by ``dim`` independent normals, then clip by the remaining halfspaces,
-    keeping only extreme rays (tight-set rank dim-1) after each step.
+    Incremental double description with the combinatorial adjacency test
+    (Fukuda-Prodon, "Double description method revisited", 1996).  Seed
+    with a simplicial cone cut out by ``dim`` independent normals, then
+    clip by the remaining halfspaces.  Each ray carries its tight set: the
+    indices of the normals processed so far that vanish on it.  Clipping
+    by n keeps the rays with n.r >= 0 and joins each pair n.r+ > 0 > n.r-
+    that spans a 2-face, which holds exactly when no third ray's tight set
+    contains the pair's common one Z (so |Z| >= dim - 2); the joins are
+    the new extreme rays, so no ray is ever tested or deduplicated.
     """
     # pick dim independent normals for the simplicial seed
     seed = []
@@ -61,41 +65,23 @@ def _dual_extreme_rays(normals, dim):
         raise NotFullDimensionalError("normals do not span the space")
 
     # {x : B x >= 0} for invertible B is spanned by the columns of
-    # B^{-1} = adj / det, positive multiples of the columns of sign(det) adj
+    # B^{-1} = adj / det, positive multiples of the columns of sign(det) adj;
+    # column j is tight on every seed normal but the j-th
     det, adj = la.adjugate(seed)
     s = 1 if det > 0 else -1
-    rays = [la.primitive(tuple(s * x for x in col)) for col in la.transpose(adj)]
+    rays = [(la.primitive(tuple(s * x for x in col)), frozenset(range(dim)) - {j})
+            for j, col in enumerate(la.transpose(adj))]
 
-    processed = list(seed)
-
-    def extreme_only(cands):
-        out = []
-        seen = set()
-        for r in cands:
-            r = la.primitive(r)
-            if r in seen:
-                continue
-            seen.add(r)
-            if _is_extreme(r, processed, dim):
-                out.append(r)
-        return out
-
-    rays = extreme_only(rays)
-    for n in rest:
-        vals = [(r, la.dot(n, r)) for r in rays]
-        pos = [(r, v) for r, v in vals if v > 0]
-        zero = [r for r, v in vals if v == 0]
-        neg = [(r, v) for r, v in vals if v < 0]
-        processed.append(n)
-        if not neg:
-            rays = extreme_only([r for r, _ in pos] + zero)
-            continue
-        cands = [r for r, _ in pos] + zero
-        for rp, vp in pos:
-            for rn, vn in neg:
-                cands.append(tuple(vp * x - vn * y for x, y in zip(rn, rp)))
-        rays = extreme_only(cands)
-    return tuple(sorted(rays))
+    for k, n in enumerate(rest, dim):
+        vals = [(r, t, la.dot(n, r)) for r, t in rays]
+        pos = [x for x in vals if x[2] > 0]
+        neg = [x for x in vals if x[2] < 0]
+        rays = [(r, t | {k} if v == 0 else t) for r, t, v in vals if v >= 0]
+        for (rp, tp, vp), (rn, tn, vn) in itertools.product(pos, neg):
+            z = tp & tn
+            if len(z) >= dim - 2 and sum(z <= t for _r, t, _v in vals) == 2:
+                rays.append((la.primitive(tuple(vp * x - vn * y for x, y in zip(rn, rp))), z | {k}))
+    return tuple(sorted(r for r, _t in rays))
 
 
 class Cone:
@@ -113,6 +99,8 @@ class Cone:
             lattice = la.identity(ambient_rank)
         else:
             lattice = la.mat(lattice)
+            if any(len(row) != ambient_rank for row in lattice):
+                raise ValueError("lattice basis rows must have length ambient_rank")
             if la.rank(lattice) != len(lattice):
                 raise ValueError("lattice basis rows must be independent")
         self.ambient_rank = ambient_rank
@@ -126,35 +114,37 @@ class Cone:
             self.pointed = True
             return
 
-        coords = []
-        for g in gens:
-            c = la.lattice_coords(lattice, g)
-            if c is None:
-                raise ValueError(f"generator {g} is not in the lattice")
-            coords.append(c)
+        # both coordinate solves are skipped when their basis is the identity
+        coords = gens
+        if lattice != la.identity(ambient_rank):
+            coords = [la.lattice_coords(lattice, g) for g in gens]
+            if None in coords:
+                raise ValueError(f"generator {gens[coords.index(None)]} is not in the lattice")
 
         # restrict to the saturated span lattice inside L; a full-dimensional
         # cone keeps L's own basis so functionals stay in ambient coordinates
         if la.rank(coords) == len(lattice):
             span = la.identity(len(lattice))
+            sub = coords
         else:
             span = la.saturation_basis(coords)
-        sub = []
-        for c in coords:
-            cc = la.lattice_coords(span, c)
-            if cc is None:
+            sub = [la.lattice_coords(span, c) for c in coords]
+            if None in sub:
                 raise AssertionError("saturation failed to contain a generator")
-            sub.append(la.primitive(cc))
         dim = len(span)
         # rows of span_basis are ambient vectors: a basis of L ∩ span(rays)
         self.span_basis = tuple(la.vec_mat(s, lattice) for s in span)
 
-        normals = list(dict.fromkeys(sub))
-        dual = _dual_extreme_rays(normals, dim)
+        kept = list(dict.fromkeys(la.primitive(c) for c in sub))
+        dual = _dual_extreme_rays(kept, dim)
         self.pointed = la.rank(dual) == dim if dual else dim == 0
         self._dual = dual
 
-        kept = [c for c in dict.fromkeys(sub) if not self.pointed or _is_extreme(c, dual, dim)]
+        if self.pointed:
+            # c spans an extreme ray exactly when no other generator lies on
+            # every facet that c lies on
+            tight = [frozenset(i for i, d in enumerate(dual) if la.dot(d, c) == 0) for c in kept]
+            kept = [c for c, t in zip(kept, tight) if sum(t <= u for u in tight) == 1]
         pairs = sorted((la.vec_mat(c, self.span_basis), c) for c in kept)
         self.rays = tuple(p[0] for p in pairs)
         self._coords = tuple(p[1] for p in pairs)

@@ -10,12 +10,22 @@ from fractions import Fraction
 from math import gcd, lcm
 
 
+def _exact_int(e):
+    """``e`` as an int: ints pass, an integral Fraction gives its numerator,
+    and anything else (a non-integral Fraction, a float, a string) raises."""
+    if isinstance(e, int):
+        return int(e)
+    if isinstance(e, Fraction) and e.denominator == 1:
+        return e.numerator
+    raise ValueError(f"not an integer: {e!r}")
+
+
 def vec(entries):
-    return tuple([int(e) for e in entries])
+    return tuple([e if type(e) is int else _exact_int(e) for e in entries])
 
 
 def mat(rows):
-    out = tuple([tuple([int(e) for e in r]) for r in rows])
+    out = tuple([vec(r) for r in rows])
     if out and any(len(r) != len(out[0]) for r in out):
         raise ValueError("ragged matrix")
     return out

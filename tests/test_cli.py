@@ -255,6 +255,11 @@ PLANE_LIFT = {"cone": {"ambient_rank": 2, "rays": [[1, 0], [0, 1]]},
     ("extend", {"monoid": {"ambient_rank": 2, "generators": [[2, 0], [1, 1], [0, 2]]},
                 "alpha": {"matrix": [["1/0", "0"], ["0", "1"]]}}),
     ("wildness-cert", [{"sequence": []}]),
+    # 20301 monomials of degree 200 in dimension 3: refused before the
+    # group closes, where the invariant solve would need gigabytes
+    ("reynolds", {"group": {"dim": 3, "conductor": 1,
+                            "generators": [[[-1, 0, 0], [0, 1, 0], [0, 0, 1]]]},
+                  "degree": 200}),
     # duplicate variable names
     ("compose", {"num_vars": 2, "var_names": ["a", "a"], "maps": [["a", "a"]]}),
     ("parse-poly", {"text": "y1", "var_names": ["y1", "y1"]}),

@@ -6,8 +6,9 @@ from fractions import Fraction
 import pytest
 
 from coxtools import intlinalg as la
-from coxtools.cones import (Cone, NonPointedError, _inside, _parallelepiped_points,
-                            _pulling_triangulation, cone_contains, dual_cone, hilbert_basis)
+from coxtools.cones import (Cone, NonPointedError, NotFullDimensionalError, _dual_extreme_rays,
+                            _inside, _parallelepiped_points, _pulling_triangulation,
+                            cone_contains, dual_cone, hilbert_basis)
 
 
 def test_orthant_self_dual():
@@ -93,6 +94,25 @@ def test_cone_contains():
     skew = Cone(2, [(1, 0), (1, 2)])
     assert cone_contains(skew, (1, 1))
     assert not cone_contains(skew, (0, 1))
+
+
+def test_cone_contains_rejects_a_non_integral_vector():
+    """-0.5 used to be truncated to 0, which put (-0.5, 1) in the orthant."""
+    with pytest.raises(ValueError, match="not an integer"):
+        cone_contains(Cone(2, [(1, 0), (0, 1)]), (-0.5, 1))
+
+
+def test_non_integral_generator_rejected():
+    """(1/2, 1) used to be truncated to (0, 1), which dropped a ray."""
+    with pytest.raises(ValueError, match="not an integer"):
+        Cone(2, [(Fraction(1, 2), 1), (1, 0)])
+    assert Cone(2, [(Fraction(2, 1), 1), (1, 0)]).rays == ((1, 0), (2, 1))
+
+
+def test_lattice_rows_must_have_the_ambient_width():
+    """A lattice row longer than ambient_rank used to end in an IndexError."""
+    with pytest.raises(ValueError, match="ambient_rank"):
+        Cone(2, [(1, 0)], lattice=[(1, 0, 0), (0, 1, 0)])
 
 
 def test_cone_contains_respects_span():
@@ -277,3 +297,180 @@ def test_pulling_triangulation_covers_the_cone(rays):
 def test_pulling_triangulations_of_seeded_cones_cover_them():
     for c in _seeded_cones(12, 100):
         _assert_triangulates(c)
+
+
+# -- the double description against the rank-test construction ---------------
+
+def _reference_is_extreme(r, normals, dim):
+    """Is r tight on dim - 1 independent normals (an extreme ray)?"""
+    return la.rank([n for n in normals if la.dot(n, r) == 0]) == dim - 1
+
+
+def _reference_dual_extreme_rays(normals, dim):
+    """The rank-test double description, kept as a test oracle.
+
+    Extreme rays of {x : n.x >= 0 for all n}, assuming the normals span.
+
+    Incremental double description: seed with a simplicial cone cut out
+    by ``dim`` independent normals, then clip by the remaining halfspaces,
+    keeping only extreme rays (tight-set rank dim-1) after each step.
+    """
+    # pick dim independent normals for the simplicial seed
+    seed = []
+    rest = []
+    for n in normals:
+        if len(seed) < dim and la.rank(seed + [n]) == len(seed) + 1:
+            seed.append(n)
+        else:
+            rest.append(n)
+    if len(seed) < dim:
+        raise NotFullDimensionalError("normals do not span the space")
+
+    # {x : B x >= 0} for invertible B is spanned by the columns of
+    # B^{-1} = adj / det, positive multiples of the columns of sign(det) adj
+    det, adj = la.adjugate(seed)
+    s = 1 if det > 0 else -1
+    rays = [la.primitive(tuple(s * x for x in col)) for col in la.transpose(adj)]
+
+    processed = list(seed)
+
+    def extreme_only(cands):
+        out = []
+        seen = set()
+        for r in cands:
+            r = la.primitive(r)
+            if r in seen:
+                continue
+            seen.add(r)
+            if _reference_is_extreme(r, processed, dim):
+                out.append(r)
+        return out
+
+    rays = extreme_only(rays)
+    for n in rest:
+        vals = [(r, la.dot(n, r)) for r in rays]
+        pos = [(r, v) for r, v in vals if v > 0]
+        zero = [r for r, v in vals if v == 0]
+        neg = [(r, v) for r, v in vals if v < 0]
+        processed.append(n)
+        if not neg:
+            rays = extreme_only([r for r, _ in pos] + zero)
+            continue
+        cands = [r for r, _ in pos] + zero
+        for rp, vp in pos:
+            for rn, vn in neg:
+                cands.append(tuple(vp * x - vn * y for x, y in zip(rn, rp)))
+        rays = extreme_only(cands)
+    return tuple(sorted(rays))
+
+
+def _reference_cone(ambient_rank, generators, lattice=None):
+    """The rank-test construction, kept as a test oracle: ``(_dual, rays,
+    _coords, span_basis, pointed)`` as ``Cone`` built them with two
+    coordinate solves per generator and a rank test per generator."""
+    gens = [g for g in map(la.vec, generators) if not la.is_zero_vec(g)]
+    lattice = la.identity(ambient_rank) if lattice is None else la.mat(lattice)
+    if not gens:
+        return (), (), (), (), True
+    coords = [la.lattice_coords(lattice, g) for g in gens]
+    if la.rank(coords) == len(lattice):
+        span = la.identity(len(lattice))
+    else:
+        span = la.saturation_basis(coords)
+    sub = [la.primitive(la.lattice_coords(span, c)) for c in coords]
+    dim = len(span)
+    span_basis = tuple(la.vec_mat(s, lattice) for s in span)
+    dual = _reference_dual_extreme_rays(list(dict.fromkeys(sub)), dim)
+    pointed = la.rank(dual) == dim if dual else dim == 0
+    kept = [c for c in dict.fromkeys(sub) if not pointed or _reference_is_extreme(c, dual, dim)]
+    pairs = sorted((la.vec_mat(c, span_basis), c) for c in kept)
+    return dual, tuple(p[0] for p in pairs), tuple(p[1] for p in pairs), span_basis, pointed
+
+
+def _comparison_inputs(seed, count):
+    """``(ambient rank, generators, lattice)`` in ZZ^2..ZZ^5 with
+    coordinates in -3..3, pointed or not.  By position mod 4: a random
+    set; one with the sum of two generators added (a redundant normal of
+    the dual); one in the span of fewer than n vectors; one written in
+    the basis of a random full-rank lattice."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(2, 5)
+        gens = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(2, 7))]
+        lattice = None
+        if len(out) % 4 == 1:
+            gens.append(la.vec_sub(gens[0], la.vec_scale(gens[1], -1)))
+        elif len(out) % 4 == 2:
+            span = [[rng.randint(-1, 1) for _ in range(n)] for _ in range(rng.randint(1, n - 1))]
+            gens = [la.vec_mat([rng.randint(0, 2) for _ in span], span)
+                    for _ in range(rng.randint(1, 6))]
+        elif len(out) % 4 == 3:
+            lattice = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+            if la.rank(lattice) < n:
+                continue
+            gens = [la.vec_mat(g, lattice) for g in gens]
+        out.append((n, gens, lattice))
+    return out
+
+
+_SQUARE_PYRAMID = [(0, 0, 0, 1), (2, 0, 0, 1), (0, 2, 0, 1), (2, 2, 0, 1), (1, 1, 1, 1)]
+_OCTAHEDRON = [tuple(s if i == j else 0 for j in range(3)) + (1,) for i in range(3) for s in (1, -1)]
+_CUBE = [(a, b, c, 1) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
+
+
+def _non_simplicial_inputs():
+    """Cones whose vertex figures are not simplices, each also with a
+    redundant generator, over a sublattice, and (in a larger ambient
+    rank) not full-dimensional."""
+    models = [[(1, a, a * a) for a in range(k)] for k in (4, 5, 8, 12, 24)]
+    models += [[(1, a, a * a, a ** 3) for a in range(7)], _SQUARE_PYRAMID, _OCTAHEDRON, _CUBE]
+    out = []
+    for gens in models:
+        n = len(gens[0])
+        scaled = la.identity(n)[:-1] + ((1,) + (0,) * (n - 2) + (2,),)  # index 2
+        out += [(n, gens, None),
+                (n, gens + [la.vec_sub(gens[0], la.vec_scale(gens[-1], -1))], None),
+                (n, [la.vec_mat(g, scaled) for g in gens], scaled),
+                (n + 1, [(*g, g[0]) for g in gens], None)]
+    return out
+
+
+def test_cones_match_the_rank_test_reference():
+    inputs = _comparison_inputs(13, 300) + _non_simplicial_inputs()
+    cones = [(Cone(n, gens, lattice), _reference_cone(n, gens, lattice))
+             for n, gens, lattice in inputs]
+    assert {c.pointed for c, _ in cones} == {True, False}
+    assert any(c.dim < c.ambient_rank for c, _ in cones)
+    assert any(c.lattice != la.identity(c.ambient_rank) for c, _ in cones)
+    assert any(len(c.rays) < len(gens) for (c, _), (_n, gens, _l) in zip(cones, inputs))
+    for (c, want), (n, gens, lattice) in zip(cones, inputs):
+        assert (c._dual, c.rays, c._coords, c.span_basis, c.pointed) == want, (n, gens, lattice)
+
+
+def test_double_description_matches_the_rank_test_reference():
+    """Normal sets as ``extend`` passes them: with zero rows, repeated rows
+    and opposite rows (so the cone may lie in a hyperplane or be 0)."""
+    rng = random.Random(14)
+    done = 0
+    while done < 200:
+        dim = rng.randint(1, 4)
+        normals = [tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(rng.randint(dim, 7))]
+        extra = rng.choice([(), ((0,) * dim,), normals[:1], (la.vec_scale(normals[-1], -1),)])
+        normals = list(extra) + normals
+        if la.rank(normals) < dim:
+            continue
+        assert _dual_extreme_rays(normals, dim) == _reference_dual_extreme_rays(normals, dim)
+        done += 1
+
+
+def test_moment_cone_rank_calls(monkeypatch):
+    """Building the 24-ray moment cone calls ``intlinalg.rank`` for the span
+    test, the seed choice and the pointedness check, and for no candidate
+    ray or generator: 5 calls, where the rank-test construction makes one
+    per candidate and one per generator."""
+    calls = []
+    rank = la.rank
+    monkeypatch.setattr(la, "rank", lambda a: calls.append(len(a)) or rank(a))
+    Cone(3, [(1, a, a * a) for a in range(24)])
+    assert calls == [24, 1, 2, 3, 24]

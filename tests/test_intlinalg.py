@@ -9,6 +9,16 @@ from coxtools import intlinalg as la
 from coxtools.cyclotomic import CycloNum
 
 
+def test_vec_and_mat_take_exact_integers_only():
+    assert la.vec([3, Fraction(-4, 2), True]) == (3, -2, 1)
+    assert all(type(x) is int for x in la.mat([[Fraction(6, 3), True]])[0])
+    for bad in (Fraction(1, 2), 0.5, 2.0, "3", None):
+        with pytest.raises(ValueError, match="not an integer"):
+            la.vec([1, bad])
+        with pytest.raises(ValueError, match="not an integer"):
+            la.mat([[1], [bad]])
+
+
 def test_hnf_already_normal():
     h, u = la.hnf([[2, 0], [0, 3]])
     assert h == ((2, 0), (0, 3))

@@ -712,6 +712,13 @@ def test_monoid_contains():
     assert m.contains((0, 0))
 
 
+def test_contains_rejects_a_non_integral_vector():
+    """A half used to be truncated to 0, which every monoid contains."""
+    with pytest.raises(ValueError, match="not an integer"):
+        AffineMonoid(1, [(2,)]).contains((Fraction(1, 2),))
+    assert AffineMonoid(1, [(2,)]).contains((Fraction(4, 2),))
+
+
 def test_contains_far_from_the_origin():
     """Membership needs no stack frame per subtracted generator."""
     assert AffineMonoid(1, [(1,)]).contains((5000,))
