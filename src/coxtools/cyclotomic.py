@@ -1,18 +1,21 @@
 """Exact arithmetic in cyclotomic number fields.
 
-Elements of QQ(zeta_n) are represented by rational coefficient vectors
-of length phi(n), reduced modulo the n-th cyclotomic polynomial, which
-is computed by recursively dividing x^n - 1 by the lower-order factors.
+Elements of QQ(zeta_n) are integer numerator vectors of length phi(n)
+over one positive denominator, reduced modulo the n-th cyclotomic
+polynomial, which is computed by recursively dividing x^n - 1 by the
+lower-order factors.
 
-The public constructor coerces to ``Fraction`` and reduces; ``+``, ``-``
-and ``*`` keep their reduced ``Fraction`` tuples through ``_trusted``.
-``*`` multiplies only nonzero coefficient pairs, and the reduction reads
-only the nonzero coefficients of Phi_n.
+The public constructor takes an int conductor >= 1 and int or
+``Fraction`` coefficients, and reduces.  ``+``, ``-`` and ``*`` work on
+the numerators and build their results through ``_make``.  ``*``
+multiplies only nonzero coefficient pairs, and the reduction reads only
+the nonzero coefficients of Phi_n, which is monic, so no division is
+needed.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 from . import intlinalg as la
 
@@ -63,30 +66,48 @@ def cyclotomic_polynomial(n):
 
 
 class CycloNum:
-    """An element of QQ(zeta_n) in reduced representation."""
+    """An element of QQ(zeta_n) in reduced representation: ``num / den``
+    with ``num`` phi(n) ints, ``den`` a positive int and
+    ``gcd(den, *num) == 1`` (zero is all zeros over 1)."""
 
-    __slots__ = ("conductor", "coeffs")
+    __slots__ = ("conductor", "num", "den")
 
     def __init__(self, conductor, coeffs=()):
-        self.conductor = int(conductor)
-        deg = euler_phi(self.conductor)
-        cs = [Fraction(c) for c in coeffs]
+        if not isinstance(conductor, int) or conductor < 1:
+            raise ValueError(f"conductor must be an int >= 1, got {conductor!r}")
+        cs = list(coeffs)
+        if not all(isinstance(c, (int, Fraction)) for c in cs):
+            raise ValueError(f"coefficients must be ints or Fractions, got {cs!r}")
+        deg = euler_phi(conductor)
+        cs = [Fraction(c) for c in cs]
         if len(cs) > deg:
-            cs = _reduce(cs, self.conductor)
-        cs += [Fraction(0)] * (deg - len(cs))
-        self.coeffs = tuple(cs[:deg])
+            cs = _reduce(cs, conductor)
+        cs += [_ZERO] * (deg - len(cs))
+        den = lcm(*(c.denominator for c in cs))
+        self.conductor = conductor
+        self.num = tuple(c.numerator * (den // c.denominator) for c in cs)
+        self.den = den
 
     @classmethod
-    def _trusted(cls, conductor, coeffs):
-        """A CycloNum holding ``coeffs``: phi(conductor) reduced ``Fraction``s."""
+    def _make(cls, conductor, num, den):
+        """``num / den``: phi(conductor) reduced ints over ``den > 0``; a
+        common factor is divided out only when there is one."""
+        if den != 1:
+            g = gcd(den, *num)
+            if g != 1:
+                num, den = tuple(c // g for c in num), den // g
         x = object.__new__(cls)
-        x.conductor = conductor
-        x.coeffs = coeffs
+        x.conductor, x.num, x.den = conductor, num, den
         return x
+
+    @property
+    def coeffs(self):
+        """The phi(n) coefficients as ``Fraction``s."""
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     @classmethod
     def rational(cls, conductor, value):
-        return cls(conductor, (Fraction(value),))
+        return cls(conductor, (value,))
 
     @classmethod
     def zeta(cls, conductor):
@@ -104,12 +125,15 @@ class CycloNum:
 
     def __add__(self, other):
         other = self._check(other)
-        return self._trusted(self.conductor, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        den = lcm(self.den, other.den)
+        p, q = den // self.den, den // other.den
+        return self._make(self.conductor,
+                          tuple(a * p + b * q for a, b in zip(self.num, other.num)), den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._trusted(self.conductor, tuple(-a for a in self.coeffs))
+        return self._make(self.conductor, tuple(-a for a in self.num), self.den)
 
     def __sub__(self, other):
         return self + (-self._check(other))
@@ -119,14 +143,14 @@ class CycloNum:
 
     def __mul__(self, other):
         other = self._check(other)
-        prod = [_ZERO] * (2 * len(self.coeffs) - 1)
-        terms = [(j, b) for j, b in enumerate(other.coeffs) if b]
-        for i, a in enumerate(self.coeffs):
+        prod = [0] * (2 * len(self.num) - 1)
+        terms = [(j, b) for j, b in enumerate(other.num) if b]
+        for i, a in enumerate(self.num):
             if a:
                 for j, b in terms:
-                    c = prod[i + j]  # a slot no product reached yet takes it as it is
-                    prod[i + j] = a * b if c is _ZERO else c + a * b
-        return self._trusted(self.conductor, tuple(_reduce(prod, self.conductor)))
+                    prod[i + j] += a * b
+        return self._make(self.conductor, tuple(_reduce(prod, self.conductor)),
+                          self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -135,12 +159,13 @@ class CycloNum:
         over the integers, column j of the system being a*zeta^j."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        deg = len(self.coeffs)
+        deg = len(self.num)
+        cs = self.coeffs
         # a positive first coefficient keeps 1 - zeta^k's pivots at 1 (sparse)
-        den = lcm(*{c.denominator for c in self.coeffs})
-        if next(c for c in self.coeffs if c) < 0:
+        den = lcm(*{c.denominator for c in cs})
+        if next(c for c in cs if c) < 0:
             den = -den
-        num = [int(c * den) for c in self.coeffs]
+        num = [int(c * den) for c in cs]
         cols = [_reduce([0] * j + num, self.conductor) for j in range(deg)]
         rows = la.bareiss([[*row, int(i == 0)] for i, row in enumerate(zip(*cols))], deg)[0]
         # num * y == 1 with x == den * y; row i holds the pivot d at column i
@@ -154,25 +179,25 @@ class CycloNum:
         return self._check(other) * self.inverse()
 
     def is_zero(self):
-        return not any(self.coeffs)
+        return not any(self.num)
 
     def __bool__(self):
-        return not self.is_zero()
+        return any(self.num)
 
     def is_one(self):
-        return self.coeffs[0] == 1 and not any(self.coeffs[1:])
+        return self.den == 1 and self.num[0] == 1 and not any(self.num[1:])
 
     def is_rational(self):
-        return not any(self.coeffs[1:])
+        return not any(self.num[1:])
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = CycloNum.rational(self.conductor, other)
         return (isinstance(other, CycloNum) and self.conductor == other.conductor
-                and self.coeffs == other.coeffs)
+                and self.num == other.num and self.den == other.den)
 
     def __hash__(self):
-        return hash((self.conductor, self.coeffs))
+        return hash((self.conductor, self.num, self.den))
 
     def __lt__(self, other):
         other = self._check(other)

@@ -268,7 +268,8 @@ def reynolds_invariants(group, degree):
     cyclotomic field (leading coefficient 1) is the returned basis, each
     form a dict from exponent tuples to CycloNum coefficients.
     """
-    degree = int(degree)
+    if not isinstance(degree, int):
+        raise ValueError(f"degree must be an int, got {degree!r}")
     if degree < 1:
         raise ValueError("degree must be at least 1")
     monos = tuple(la.compositions(degree, group.dim))

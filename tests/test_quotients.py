@@ -1,5 +1,7 @@
 import functools
 import itertools
+import math
+import operator
 import random
 from fractions import Fraction
 
@@ -115,6 +117,68 @@ def test_arithmetic_results_hold_the_constructor_invariant():
             full = sympy.Poly(a.coeffs[::-1], x) * sympy.Poly(b.coeffs[::-1], x)
             want = [Fraction(str(c)) for c in full.rem(phi).all_coeffs()[::-1]]
             assert list(prod.coeffs) == want + [0] * (deg - len(want))
+
+
+def test_arithmetic_results_are_in_normal_form():
+    """Every +, -, unary - and * result is ``num / den`` with int entries,
+    den > 0 and gcd(den, *num) == 1; zero is all zeros over 1; and the
+    hash is that of the element rebuilt from its coefficients."""
+    rng = random.Random(18)
+    for n in range(1, 31):
+        deg = euler_phi(n)
+        elements = [CycloNum(n), CycloNum.rational(n, Fraction(-3, 4)), CycloNum.zeta(n)]
+        elements += [_random_cyclonum(rng, n, density) for density in (0.2, 0.7, 1.0)]
+        for a, b in itertools.product(elements, repeat=2):
+            for r in (a + b, a - b, -a, a * b):
+                assert len(r.num) == deg and all(type(c) is int for c in r.num)
+                assert type(r.den) is int and r.den > 0
+                assert math.gcd(r.den, *r.num) == 1
+                if not r:
+                    assert (r.num, r.den) == ((0,) * deg, 1)
+                assert hash(r) == hash(CycloNum(n, r.coeffs))
+
+
+def test_integral_arithmetic_creates_no_fraction(monkeypatch):
+    """+, - and * of elements with integral coefficients work on the integer
+    numerators alone: not one Fraction is created."""
+    rng = random.Random(5)
+    pairs = []
+    for n in (1, 3, 4, 5, 7, 8, 12, 15, 24):
+        elements = [CycloNum(n), CycloNum.zeta(n)]
+        elements += [CycloNum(n, [rng.randint(-6, 6) for _ in range(euler_phi(n))])
+                     for _ in range(4)]
+        pairs += itertools.product(elements, repeat=2)
+    created = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        created.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    results = [op(a, b) for a, b in pairs for op in (operator.add, operator.sub, operator.mul)]
+    assert created == []
+    CycloNum.rational(5, 1)  # the public constructor still coerces: the count sees it
+    assert created
+    monkeypatch.undo()
+    assert results == [op(CycloNum(a.conductor, a.coeffs), CycloNum(b.conductor, b.coeffs))
+                       for a, b in pairs for op in (operator.add, operator.sub, operator.mul)]
+
+
+@pytest.mark.parametrize("conductor", [4.9, 0, -4, Fraction(4), "4", None])
+def test_cyclonum_refuses_a_conductor_that_is_not_a_positive_int(conductor):
+    with pytest.raises(ValueError):
+        CycloNum(conductor, [1, 1])
+    with pytest.raises(ValueError):
+        CycloNum.rational(conductor, 1)
+
+
+@pytest.mark.parametrize("coeff", [0.1, 1.0, "1/2", None, 1j])
+def test_cyclonum_refuses_coefficients_that_are_not_int_or_fraction(coeff):
+    with pytest.raises(ValueError):
+        CycloNum(3, [1, coeff])
+    with pytest.raises(ValueError):
+        CycloNum.rational(3, coeff)
 
 
 def _power(z, k):
@@ -634,6 +698,13 @@ def test_reynolds_trivial_group():
     triv = close_group([[[1, 0], [0, 1]]], conductor=1)
     basis = reynolds_invariants(triv, 3)
     assert len(basis) == 4  # all cubic monomials in two variables
+
+
+@pytest.mark.parametrize("degree", [2.5, 2.0, Fraction(5, 2), "2"])
+def test_reynolds_refuses_a_degree_that_is_not_an_int(degree):
+    triv = close_group([[[1, 0], [0, 1]]], conductor=1)
+    with pytest.raises(ValueError):
+        reynolds_invariants(triv, degree)
 
 
 def test_reynolds_cube_root_weights():
