@@ -177,6 +177,15 @@ class GradedEndo:
                 raise ImagesNotHomogeneousError(i) from None
         self.image_degrees = tuple(degrees)
 
+    @classmethod
+    def _trusted(cls, ring, polymap, image_degrees, elementary=None):
+        """A GradedEndo with ``image_degrees`` as given: the caller vouches
+        that ``polymap`` is an endomorphism of the ring's variables and that
+        each image is homogeneous of its listed degree (ZERO_DEGREE for 0)."""
+        e = object.__new__(cls)
+        e.ring, e.map, e.elementary, e.image_degrees = ring, polymap, elementary, image_degrees
+        return e
+
     def __eq__(self, other):
         return (isinstance(other, GradedEndo) and self.ring == other.ring
                 and self.map == other.map)
@@ -331,7 +340,12 @@ def shear_map(ring, index, f):
             "shear polynomial degree differs from the sheared variable's degree")
     images = [Poly.variable(n, i) for i in range(n)]
     images[index] = images[index] + f
-    return GradedEndo(ring, PolyMap(tuple(images)), elementary=("shear", index, f))
+    # each other image is its own variable; y_i + f has y_i's degree unless f cancels it
+    degrees = list(ring.var_degrees)
+    if images[index].is_zero():
+        degrees[index] = ZERO_DEGREE
+    return GradedEndo._trusted(ring, PolyMap(tuple(images)), tuple(degrees),
+                               ("shear", index, f))
 
 
 def elementary_linear(ring, matrix):

@@ -8,9 +8,12 @@ leave an integral value as a ``Fraction`` (``2 * Fraction(1, 2)``);
 and ``render`` do not see the difference.  No coefficient is divided
 with ``/`` and none is ever a float.
 
-``Poly(num_vars, terms)`` validates and cleans its input.  The ring
-operations, ``derivative``, ``homogeneous_part``, ``substitute`` and
-``poly_det`` build their results with ``Poly._trusted``, which takes a
+``Poly(num_vars, terms)`` validates and cleans its input, and refuses
+a coefficient that is not an ``int`` or a ``Fraction`` (a ``bool`` is an
+``int``) with ``ValueError``; the ring operators return ``NotImplemented``
+for such an operand, so it raises ``TypeError``.  The ring operations,
+``derivative``, ``homogeneous_part``, ``substitute``, ``poly_det`` and
+the parser build their results with ``Poly._trusted``, which takes a
 dict that is already clean (every coefficient a nonzero ``int`` or
 ``Fraction``, every key a tuple of ``num_vars`` non-negative ints) and
 keeps it as is, without a copy or a check.
@@ -43,9 +46,10 @@ class Poly:
     def __init__(self, num_vars, terms=None):
         self.num_vars = int(num_vars)
         clean = {}
-        for expo, coeff in (terms or {}).items():
-            c = Fraction(coeff)
-            if c == 0:
+        for expo, c in (terms or {}).items():
+            if not isinstance(c, (int, Fraction)):
+                raise ValueError(f"coefficients must be ints or Fractions, got {c!r}")
+            if not c:
                 continue
             expo = tuple(int(e) for e in expo)
             if len(expo) != self.num_vars or any(e < 0 for e in expo):
@@ -93,6 +97,8 @@ class Poly:
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Poly.constant(self.num_vars, other)
+        elif not isinstance(other, Poly):
+            return NotImplemented
         self._check(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
@@ -109,6 +115,8 @@ class Poly:
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Poly.constant(self.num_vars, other)
+        elif not isinstance(other, Poly):
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other):
@@ -118,6 +126,8 @@ class Poly:
             if other.denominator == 1:
                 other = other.numerator
             return Poly._trusted(self.num_vars, {e: c * other for e, c in self.terms.items()})
+        if not isinstance(other, Poly):
+            return NotImplemented
         self._check(other)
         terms = {}
         get = terms.get
@@ -134,7 +144,8 @@ class Poly:
     __radd__ = __add__
 
     def __pow__(self, k):
-        k = int(k)
+        if not isinstance(k, int):
+            return NotImplemented
         if k < 0:
             raise ValueError("negative power")
         result = Poly.constant(self.num_vars, 1)
@@ -374,130 +385,143 @@ def in_ideal_power(p, var_subset, k):
 # Whitespace is insignificant; implicit multiplication is rejected.
 # ---------------------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*/^()]))")
+_TOKEN = re.compile(r"\s*(?:(?P<nat>\d+)|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()])"
+                    r"|(?P<bad>\S))")
 
 
 def _tokenize(text):
+    """(kind, value, position) triples ending in ("end", "", len(text)).
+    An operator's value is its own character, so one comparison of the
+    value tests for it."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None or m.end() == pos:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            bad = len(text) - len(stripped)
-            raise PolyParseError(f"unexpected character '{text[bad]}'", bad)
-        kind = "nat" if m.group(1) else ("ident" if m.group(2) else "op")
-        tokens.append((kind, m.group(1) or m.group(2) or m.group(3), m.start() + len(m.group(0)) - len((m.group(1) or m.group(2) or m.group(3)))))
-        pos = m.end()
+    for m in _TOKEN.finditer(text):
+        i = m.lastindex
+        at = m.start(i)
+        if m.lastgroup == "bad":
+            raise PolyParseError(f"unexpected character '{text[at]}'", at)
+        tokens.append((m.lastgroup, m.group(i), at))
     tokens.append(("end", "", len(text)))
     return tokens
 
 
 class _Parser:
+    """One pass over the tokens.  The numbers and variables of a term,
+    with their powers, collect into one coefficient and one exponent
+    list; only a parenthesised factor of more than one term is a Poly
+    multiplied in.  Each term is added into the expression's dict as it
+    ends."""
+
     def __init__(self, text, var_names):
         self.tokens = _tokenize(text)
         self.pos = 0
-        self.var_names = list(var_names)
-        self.num_vars = len(self.var_names)
-        self.index = {n: i for i, n in enumerate(self.var_names)}
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect_op(self, op):
-        kind, val, at = self.peek()
-        if kind != "op" or val != op:
-            raise PolyParseError(f"expected '{op}'", at)
-        return self.advance()
+        names = list(var_names)
+        self.num_vars = len(names)
+        self.index = {n: i for i, n in enumerate(names)}
 
     def parse(self):
         p = self.expr(text=True)
-        kind, val, at = self.peek()
+        kind, val, at = self.tokens[self.pos]
         if kind != "end":
             raise PolyParseError(f"trailing input '{val}'", at)
         return p
 
     def expr(self, text=False):
-        lead = self.tokens[self.pos:self.pos + 2]
-        if text and lead[0][1] == "-" and (lead[1][0] == "ident" or lead[1][1] == "("):
-            self.advance()
-            p = -self.term()
-        else:
-            p = self.term()
+        tokens = self.tokens
+        sign = 1
+        if text and tokens[0][1] == "-" and (tokens[1][0] == "ident" or tokens[1][1] == "("):
+            self.pos = 1
+            sign = -1
+        terms = {}
         while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.advance()
-                q = self.term()
-                p = p + q if val == "+" else p - q
+            self.term(terms, sign)
+            op = tokens[self.pos][1]
+            if op == "+":
+                sign = 1
+            elif op == "-":
+                sign = -1
             else:
-                return p
+                return Poly._trusted(self.num_vars, terms)
+            self.pos += 1
 
-    def term(self):
-        p = self.factor()
+    def term(self, terms, coeff):
+        """Parse a term and add ``coeff`` times it into ``terms``."""
+        tokens = self.tokens
+        expo = [0] * self.num_vars
+        polys = []
         while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val == "*":
-                self.advance()
-                p = p * self.factor()
+            kind, val, at = tokens[self.pos]
+            if kind == "ident":
+                self.pos += 1
+                i = self.index.get(val)
+                if i is None:
+                    raise UnknownVariableError(val, at)
+                expo[i] += self.power()
+            elif kind == "nat" or val == "-":
+                x = self.rational()
+                coeff *= x ** self.power()
+            elif val == "(":
+                self.pos += 1
+                p = self.expr()
+                kind, val, at = tokens[self.pos]
+                if val != ")":
+                    raise PolyParseError("expected ')'", at)
+                self.pos += 1
+                k = self.power()
+                if not k:
+                    pass  # p^0 == 1, also for p == 0
+                elif len(p.terms) > 1:
+                    polys.append(p if k == 1 else p ** k)
+                elif p.terms:
+                    ((e, c),) = p.terms.items()
+                    coeff *= c ** k
+                    expo = [a + b * k for a, b in zip(expo, e)]
+                else:
+                    coeff = 0
             else:
-                return p
+                raise PolyParseError("expected a number, variable or '('", at)
+            if tokens[self.pos][1] != "*":
+                break
+            self.pos += 1
+        if not coeff:
+            return
+        if coeff.denominator == 1:
+            coeff = coeff.numerator
+        p = Poly._trusted(self.num_vars, {tuple(expo): coeff})
+        for q in polys:
+            p = p * q
+        _fold(terms, p, 1)
 
-    def factor(self):
-        p = self.base()
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "^":
-            self.advance()
-            nkind, nval, nat = self.peek()
-            if nkind != "nat":
-                raise PolyParseError("exponent must be a natural number", nat)
-            self.advance()
-            p = p ** int(nval)
-        return p
-
-    def base(self):
-        kind, val, at = self.peek()
-        if kind == "op" and val == "-":
-            self.advance()
-            return -self.rational(negated=True)
-        if kind == "nat":
-            return self.rational()
-        if kind == "ident":
-            self.advance()
-            if val not in self.index:
-                raise UnknownVariableError(val, at)
-            return Poly.variable(self.num_vars, self.index[val])
-        if kind == "op" and val == "(":
-            self.advance()
-            p = self.expr()
-            self.expect_op(")")
-            return p
-        raise PolyParseError(f"expected a number, variable or '('", at)
-
-    def rational(self, negated=False):
-        kind, val, at = self.peek()
+    def power(self):
+        """The exponent after a base: the nat of a following '^', else 1."""
+        if self.tokens[self.pos][1] != "^":
+            return 1
+        kind, val, at = self.tokens[self.pos + 1]
         if kind != "nat":
-            raise PolyParseError("expected digits" + (" after sign" if negated else ""), at)
-        self.advance()
-        num = int(val)
-        kind, op, _ = self.peek()
-        if kind == "op" and op == "/":
-            self.advance()
-            dkind, dval, dat = self.peek()
-            if dkind != "nat":
-                raise PolyParseError("expected digits after '/'", dat)
-            self.advance()
-            if int(dval) == 0:
-                raise PolyParseError("zero denominator", dat)
-            return Poly.constant(self.num_vars, Fraction(num, int(dval)))
-        return Poly.constant(self.num_vars, num)
+            raise PolyParseError("exponent must be a natural number", at)
+        self.pos += 2
+        return int(val)
+
+    def rational(self):
+        """An int, or int/nat, with an optional leading '-'."""
+        tokens = self.tokens
+        kind, val, at = tokens[self.pos]
+        negated = val == "-"
+        if negated:
+            kind, val, at = tokens[self.pos + 1]
+            if kind != "nat":
+                raise PolyParseError("expected digits after sign", at)
+            self.pos += 1
+        self.pos += 1
+        x = int(val)
+        if tokens[self.pos][1] == "/":
+            kind, val, at = tokens[self.pos + 1]
+            if kind != "nat":
+                raise PolyParseError("expected digits after '/'", at)
+            self.pos += 2
+            if int(val) == 0:
+                raise PolyParseError("zero denominator", at)
+            x = Fraction(x, int(val))
+        return -x if negated else x
 
 
 def parse_poly(text, var_names):

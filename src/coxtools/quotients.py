@@ -55,7 +55,8 @@ def c_mul(a, b):
     entry pairs are multiplied, and each entry's sum starts from its first
     product, so a product of monomial matrices costs one multiplication
     per row."""
-    zero = CycloNum(a[0][0].conductor)
+    x = a[0][0]
+    zero = CycloNum._make(x.conductor, (0,) * len(x.num), 1)
     cols = tuple(zip(*b))
     out = []
     for row in a:

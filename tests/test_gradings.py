@@ -703,3 +703,77 @@ def test_smith_form_bijectivity_matches_residue_enumeration():
             assert _torsion_bijective(torsion, tm) == expected, (torsion, tm)
             verdicts[expected] += 1
     assert verdicts[True] > 50 and verdicts[False] > 50
+
+
+# -- known image degrees of shears ------------------------------------------------
+
+def _search_catalog(ring):
+    """The 24 shears of search_tame_decomposition's catalog (max_h_degree=1)."""
+    y = [Poly.variable(4, i) for i in range(4)]
+    shapes = {0: (y[1], y[1] * y[2], y[1] * y[3]), 1: (y[0], y[0] * y[2], y[0] * y[3]),
+              2: (y[3], y[0] * y[3], y[1] * y[3]), 3: (y[2], y[0] * y[2], y[1] * y[2])}
+    return [(index, sign * front * u ** l * v ** r)
+            for index, (front, u, v) in shapes.items()
+            for l in range(2) for r in range(2 - l) for sign in (1, -1)]
+
+
+def _homogeneous(rng, ring, degree, size):
+    """A seeded polynomial of the given degree (zero when every coefficient drawn is 0)."""
+    monomials = [e for e in itertools.product(range(3), repeat=ring.num_vars)
+                 if ring.group.combination(e, ring.var_degrees) == degree]
+    return Poly(ring.num_vars, {e: Fraction(rng.randint(-2, 2), rng.choice((1, 2)))
+                                for e in rng.sample(monomials, min(size, len(monomials)))})
+
+
+def _assert_known_degrees(e):
+    assert e.image_degrees == GradedEndo(e.ring, e.map).image_degrees
+
+
+def test_shears_of_the_search_catalog_know_their_image_degrees():
+    catalog = _search_catalog(RING)
+    assert len(catalog) == 24
+    for index, f in catalog:
+        e = elementary_shear(RING, index, f)
+        _assert_known_degrees(e)
+        assert e.image_degrees == RING.var_degrees and e.elementary == ("shear", index, f)
+
+
+def test_shear_map_image_degrees_match_the_checked_constructor():
+    z2 = AbGroup(1, (2,))
+    z3 = AbGroup(0, (3,))
+    rings = [RING, quadric_grading(1),
+             GradedRing(z2, tuple(z2.element(*d) for d in [((1,), (0,)), ((1,), (1,)),
+                                                          ((-1,), (1,)), ((0,), (0,))])),
+             GradedRing(z3, tuple(z3.element((), (t,)) for t in (1, 2, 0)))]
+    rng = random.Random(2210)
+    zeros = 0
+    for ring in rings:
+        n = ring.num_vars
+        for index in range(n):
+            y = Poly.variable(n, index)
+            fs = [Poly.zero(n), -y, -y + _homogeneous(rng, ring, ring.var_degrees[index], 2)]
+            fs += [_homogeneous(rng, ring, ring.var_degrees[index], rng.randint(0, 4))
+                   for _ in range(12)]
+            for f in fs:
+                e = shear_map(ring, index, f)
+                _assert_known_degrees(e)
+                zeros += e.image_degrees[index] is ZERO_DEGREE
+                if not f.involves(index):
+                    _assert_known_degrees(elementary_shear(ring, index, f))
+            assert shear_map(ring, index, -y).image_degrees[index] is ZERO_DEGREE
+    assert zeros >= sum(r.num_vars for r in rings)
+
+
+def test_shear_checks_still_raise():
+    y = [Poly.variable(4, i) for i in range(4)]
+    with pytest.raises(DependsOnTargetError):
+        elementary_shear(RING, 0, y[0] * y[1] * y[2])
+    with pytest.raises(NotHomogeneousShearError):
+        shear_map(RING, 0, y[2])
+    with pytest.raises(NotHomogeneousShearError):
+        elementary_shear(RING, 1, y[0] * y[0] * y[2] * y[3])
+    with pytest.raises(NotHomogeneousError):
+        shear_map(RING, 0, y[1] + y[2])
+    # the checked constructor still refuses an inhomogeneous image
+    with pytest.raises(ImagesNotHomogeneousError):
+        GradedEndo(RING, PolyMap((y[0] + y[2], y[1], y[2], y[3])))

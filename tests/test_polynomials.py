@@ -360,3 +360,28 @@ def test_coefficients_are_never_float_or_bool(made):
     assert verify_inverse(linear, elementary_inverse(linear))
     kinds = {type(c) for p in made for c in p.terms.values()}
     assert kinds == {int, Fraction}
+
+
+@pytest.mark.parametrize("bad", [0.1, 1.0, 0.0, "1/2", None, 1j],
+                         ids=["float", "integral_float", "zero_float", "str", "none", "complex"])
+def test_public_constructors_take_exact_coefficients_only(bad):
+    for build in (lambda: Poly(1, {(1,): bad}), lambda: Poly.constant(1, bad),
+                  lambda: Poly.monomial((1,), bad)):
+        with pytest.raises(ValueError, match="ints or Fractions"):
+            build()
+
+
+@pytest.mark.parametrize("bad", [0.5, 2.0, "1", None, 1j],
+                         ids=["float", "integral_float", "str", "none", "complex"])
+def test_ring_operators_refuse_inexact_operands(bad):
+    p = Poly.variable(2, 0)
+    for op in (lambda: p * bad, lambda: bad * p, lambda: p + bad, lambda: bad + p,
+               lambda: p - bad, lambda: bad - p, lambda: p ** bad):
+        with pytest.raises(TypeError):
+            op()
+
+
+def test_bool_stays_an_int_coefficient():
+    p = Poly.variable(2, 0)
+    assert p * True == p and p + False == p and p ** True == p
+    assert Poly(2, {(1, 0): True}) == p and type(Poly(2, {(1, 0): True}).terms[(1, 0)]) is int
