@@ -186,7 +186,16 @@ def _poly_text(text):
 
 def _polys(texts, names):
     from .polynomials import parse_poly
-    return [parse_poly(_poly_text(t), names) for t in _list(texts, "a list of polynomials")]
+    # the parser recurses once per parenthesis level, so nesting past the
+    # recursion limit is malformed input, as it is for JSON arrays in _load
+    try:
+        return [parse_poly(_poly_text(t), names) for t in _list(texts, "a list of polynomials")]
+    except RecursionError as exc:
+        raise InputError("polynomial nested too deeply") from exc
+
+
+def _poly(text, names):
+    return _polys([text], names)[0]
 
 
 def _variable(x, index_of):
@@ -255,9 +264,8 @@ def _render_invariant(form, names):
 # -- subcommands ----------------------------------------------------------------
 
 def cmd_parse_poly(doc, args):
-    from .polynomials import parse_poly
     names = _var_names(doc)
-    p = parse_poly(_poly_text(_require(doc, "text")), names)
+    p = _poly(_require(doc, "text"), names)
     return {
         "canonical": p.render(names),
         "num_terms": len(p.terms),
@@ -376,14 +384,13 @@ def cmd_jacobian(doc, args):
 
 def cmd_wildness_cert(doc, args):
     from .gradings import NotZeta, shear_map, wildness_certificate
-    from .polynomials import parse_poly
     ring = _decode_grading(doc.get("grading"))
     names = _var_names(doc, ring.num_vars)
     index_of = {n: i for i, n in enumerate(names)}
     seq = []
     for step in _list(_require(doc, "sequence"), "a list of shears"):
         var = _variable(_require(step, "variable"), index_of)
-        seq.append(shear_map(ring, var, parse_poly(_poly_text(_require(step, "poly")), names)))
+        seq.append(shear_map(ring, var, _poly(_require(step, "poly"), names)))
     result = wildness_certificate(seq, ring)
     if isinstance(result, NotZeta):
         return {"kind": "not_zeta", "variable": names[result.variable]}
@@ -398,13 +405,12 @@ def cmd_wildness_cert(doc, args):
 
 def cmd_shear_family(doc, args):
     from .gradings import shear_family
-    from .polynomials import parse_poly
     ring = _decode_grading(doc.get("grading"))
     names = _var_names(doc, ring.num_vars)
     index_of = {n: i for i, n in enumerate(names)}
     var = _variable(_require(doc, "variable"), index_of)
-    f = parse_poly(_poly_text(_require(doc, "f")), names)
-    h = parse_poly(_poly_text(_require(doc, "h")), names)
+    f = _poly(_require(doc, "f"), names)
+    h = _poly(_require(doc, "h"), names)
     k = _as_int(_require(doc, "k"))
     endo = shear_family(ring, var, f, h, k)
     return {"images": [p.render(names) for p in endo.map.images]}

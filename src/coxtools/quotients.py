@@ -1,7 +1,9 @@
 """Finite matrix groups over cyclotomic fields and their quotient data.
 
-The pipeline: close a generating set of matrices to the full group,
-find the pseudoreflections (rank(A - I) = 1), take the normal subgroup
+The pipeline: close a generating set of matrices to the full group (as
+permutations of the orbit of the identity's rows, so the closure makes
+row products only, and past ``cap`` elements it raises), find the
+pseudoreflections (rank(A - I) = 1), take the normal subgroup
 they generate, and analyze the quotient: its commutator subgroup, the
 preimage of that commutator, and the abelian invariants of the final
 abelianization (via a Smith normal form of its Schreier relations).  The
@@ -107,6 +109,16 @@ def close_group(generators, conductor=None, cap=DEFAULT_CAP):
 
     Without ``conductor``, the field is that of the first ``CycloNum``
     entry of any generator, else the rationals (conductor 1).
+
+    A matrix is fixed by its rows, so the group acts faithfully on the
+    orbit O of the identity's rows under v -> v @ g.  The closure lists O
+    first, with one row product per orbit vector and generator, then
+    closes the generators as permutations of O: each element is the tuple
+    of its rows' orbit indices, and its matrix is read off O.  Each row's
+    orbit has at most |G| vectors, so an orbit of over ``dim * cap``
+    vectors already means over ``cap`` elements; either closure past its
+    bound raises ``closure exceeded cap {cap}``, and ``cap=None`` bounds
+    neither.
     """
     gens = list(generators)
     if not gens:
@@ -121,24 +133,43 @@ def close_group(generators, conductor=None, cap=DEFAULT_CAP):
             raise ValueError("generators must be square of equal size")
         if len(la.rref(list(g))[1]) < dim:
             raise NotInvertibleError("singular generator")
-    elements, right, words = _closure(c_identity(conductor, dim), gens, c_mul, cap)
-    return MatGroup(dim, conductor, tuple(gens), tuple(elements), tuple(right), tuple(words))
+    if not dim:
+        raise ValueError("generators must have at least one row")
+    orbit, moves = _closure(c_identity(conductor, dim), gens, _row_mul, cap)[:2]
+    # perms[k][x] is the index of orbit[x] @ gens[k]
+    perms = list(zip(*moves))
+    indices, right, words = _closure((tuple(range(dim)),), perms, _permute, cap)
+    elements = tuple([tuple([orbit[x] for x in a]) for a in indices])
+    return MatGroup(dim, conductor, tuple(gens), elements, tuple(right), tuple(words))
 
 
-def _closure(ident, gens, mul, cap=None):
-    """Breadth-first closure of ``gens`` from ``ident`` under ``mul``: each
+def _row_mul(v, g):
+    return c_mul((v,), g)[0]
+
+
+def _permute(a, perm):
+    return tuple([perm[x] for x in a])
+
+
+def _closure(seeds, gens, mul, cap=None):
+    """Breadth-first closure of ``gens`` from ``seeds`` under ``mul``: each
     listed element in turn is multiplied on the right by every generator.
     Returns the elements, the Cayley graph (``right[i][k]`` is the index
-    of ``mul(elements[i], gens[k])``) and each element's generator word."""
-    elements, words, right = [ident], [()], []
-    index = {ident: 0}
+    of ``mul(elements[i], gens[k])``) and each element's generator word
+    from its seed.  A seed's orbit under a group is at most the group's
+    order, so past ``cap`` elements per seed the group has over ``cap``."""
+    elements = list(seeds)
+    words = [()] * len(elements)
+    right = []
+    index = {s: i for i, s in enumerate(elements)}
+    limit = None if cap is None else cap * len(elements)
     for i, a in enumerate(elements):
         row = []
         for k, g in enumerate(gens):
             b = mul(a, g)
             j = index.get(b)
             if j is None:
-                if cap is not None and len(elements) >= cap:
+                if limit is not None and len(elements) >= limit:
                     raise ClosureCapExceededError(f"closure exceeded cap {cap}")
                 j = index[b] = len(elements)
                 elements.append(b)
@@ -191,7 +222,7 @@ def quotient_report(group):
     # rank(xAx^-1 - I) == rank(A - I): the pseudoreflections are already
     # closed under conjugation, so they generate a normal subgroup
     refl = [group.index_of(a) for a in pseudoreflections(group)]
-    h_elements = _closure(0, refl, group.mul)[0]
+    h_elements = _closure((0,), refl, group.mul)[0]
     for k in range(ngens):
         if {group.mul(right[0][k], h) for h in h_elements} != {right[h][k] for h in h_elements}:
             raise AssertionError("reflection subgroup failed normality")

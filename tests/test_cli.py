@@ -167,6 +167,46 @@ def test_long_integer_string_is_a_bad_integer(tmp_path):
     assert json.loads(out)["detail"].startswith("bad integer")
 
 
+
+def _nested(depth):
+    return "(" * depth + "y1" + ")" * depth
+
+
+# the polynomial parser recurses once per parenthesis level; past the
+# recursion limit a text is malformed input, like a JSON array nested as deep
+DEEP_PAYLOADS = {
+    "parse-poly": lambda text: {"text": text, "var_names": ["y1"]},
+    "compose": lambda text: {"num_vars": 1, "maps": [["2*y1"], [text]]},
+}
+
+
+@pytest.mark.parametrize("command", sorted(DEEP_PAYLOADS))
+@pytest.mark.parametrize("depth", [600, 1000, 5000])
+def test_polynomial_nested_past_the_recursion_limit_exit_2(tmp_path, command, depth):
+    p = tmp_path / "deep.json"
+    p.write_text(json.dumps(DEEP_PAYLOADS[command](_nested(depth))))
+    code, out = run_cli([command, str(p)])
+    _assert_malformed(code, out)
+    assert json.loads(out)["detail"] == "polynomial nested too deeply"
+
+
+def test_polynomial_nested_200_deep_parses(tmp_path):
+    p = tmp_path / "deep.json"
+    p.write_text(json.dumps(DEEP_PAYLOADS["parse-poly"](_nested(200))))
+    code, out = run_cli(["parse-poly", str(p)])
+    assert code == 0 and json.loads(out)["canonical"] == "y1"
+
+
+def test_polynomial_nested_past_the_recursion_limit_as_a_process(tmp_path):
+    p = tmp_path / "deep.json"
+    p.write_text(json.dumps(DEEP_PAYLOADS["parse-poly"](_nested(1000))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "coxtools.cli", "parse-poly", str(p)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC_DIR))
+    assert proc.returncode == 2 and proc.stderr == ""
+    assert proc.stdout == ('{"detail":"polynomial nested too deeply",'
+                           '"error":"malformed_input"}\n')
+
 Q8_GROUP = json.loads((FIXTURE_DIR / "quotient-report-q8.json").read_text())["payload"]
 
 
