@@ -115,8 +115,8 @@ def close_group(generators, conductor=None, cap=DEFAULT_CAP):
     first, with one row product per orbit vector and generator, then
     closes the generators as permutations of O: each element is the tuple
     of its rows' orbit indices, and its matrix is read off O.  Each row's
-    orbit has at most |G| vectors, so an orbit of over ``dim * cap``
-    vectors already means over ``cap`` elements; either closure past its
+    orbit has at most |G| vectors, so over ``cap`` vectors reached from
+    one row already mean over ``cap`` elements; either closure past its
     bound raises ``closure exceeded cap {cap}``, and ``cap=None`` bounds
     neither.
     """
@@ -135,7 +135,10 @@ def close_group(generators, conductor=None, cap=DEFAULT_CAP):
             raise NotInvertibleError("singular generator")
     if not dim:
         raise ValueError("generators must have at least one row")
-    orbit, moves = _closure(c_identity(conductor, dim), gens, _row_mul, cap)[:2]
+    # no words for the orbit: along the chain of an infinite-order
+    # generator they would grow quadratically up to the cap
+    orbit, moves, _ = _closure(c_identity(conductor, dim), gens, _row_mul, cap,
+                               keep_words=False)
     # perms[k][x] is the index of orbit[x] @ gens[k]
     perms = list(zip(*moves))
     indices, right, words = _closure((tuple(range(dim)),), perms, _permute, cap)
@@ -151,29 +154,36 @@ def _permute(a, perm):
     return tuple([perm[x] for x in a])
 
 
-def _closure(seeds, gens, mul, cap=None):
+def _closure(seeds, gens, mul, cap=None, keep_words=True):
     """Breadth-first closure of ``gens`` from ``seeds`` under ``mul``: each
     listed element in turn is multiplied on the right by every generator.
     Returns the elements, the Cayley graph (``right[i][k]`` is the index
     of ``mul(elements[i], gens[k])``) and each element's generator word
-    from its seed.  A seed's orbit under a group is at most the group's
-    order, so past ``cap`` elements per seed the group has over ``cap``."""
+    from its seed (``None`` without ``keep_words``).  A seed's orbit under
+    a group is at most the group's order, so past ``cap`` elements
+    reached from one seed the group has over ``cap``."""
     elements = list(seeds)
-    words = [()] * len(elements)
+    words = [()] * len(elements) if keep_words else None
     right = []
     index = {s: i for i, s in enumerate(elements)}
-    limit = None if cap is None else cap * len(elements)
+    # seed_of[i] is the seed elements[i] was reached from; sizes[s] counts them
+    seed_of = list(range(len(elements)))
+    sizes = [1] * len(elements)
     for i, a in enumerate(elements):
         row = []
         for k, g in enumerate(gens):
             b = mul(a, g)
             j = index.get(b)
             if j is None:
-                if limit is not None and len(elements) >= limit:
+                s = seed_of[i]
+                if cap is not None and sizes[s] >= cap:
                     raise ClosureCapExceededError(f"closure exceeded cap {cap}")
+                sizes[s] += 1
+                seed_of.append(s)
                 j = index[b] = len(elements)
                 elements.append(b)
-                words.append(words[i] + (k,))
+                if keep_words:
+                    words.append(words[i] + (k,))
             row.append(j)
         right.append(tuple(row))
     return elements, right, words
@@ -222,7 +232,7 @@ def quotient_report(group):
     # rank(xAx^-1 - I) == rank(A - I): the pseudoreflections are already
     # closed under conjugation, so they generate a normal subgroup
     refl = [group.index_of(a) for a in pseudoreflections(group)]
-    h_elements = _closure((0,), refl, group.mul)[0]
+    h_elements = _closure((0,), refl, group.mul, keep_words=False)[0]
     for k in range(ngens):
         if {group.mul(right[0][k], h) for h in h_elements} != {right[h][k] for h in h_elements}:
             raise AssertionError("reflection subgroup failed normality")

@@ -9,6 +9,9 @@ same Cayley graph and words, and fail with the same errors.
 
 import json
 import pathlib
+import sys
+import time
+import tracemalloc
 
 import pytest
 
@@ -173,6 +176,56 @@ def test_infinite_order_generator_raises_at_the_cap(cap):
     assert got == _raised(lambda: _reference_close_group(gens, conductor=1, cap=cap))
 
 
+def _unipotent(dim):
+    """The identity plus e_{0,1}: an infinite-order generator."""
+    return [[int(i == j or (i, j) == (0, 1)) for j in range(dim)] for i in range(dim)]
+
+
+def _traced(close, gens, cap):
+    """The error and traced peak bytes of ``close(gens, conductor=1, cap=cap)``."""
+    tracemalloc.start()
+    try:
+        got = _raised(lambda: close(gens, conductor=1, cap=cap))
+        return got, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _best_seconds(close, gens, cap):
+    seconds = []
+    for _ in range(3):
+        start = time.process_time()
+        _raised(lambda: close(gens, conductor=1, cap=cap))
+        seconds.append(time.process_time() - start)
+    return min(seconds)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_infinite_order_costs_no_more_than_the_matrix_closure(dim):
+    """Along an infinite-order chain the orbit closure keeps no words and
+    stops after ``cap`` vectors reached from one row."""
+    gens = [_unipotent(dim)]
+    got, peak = _traced(close_group, gens, 2000)
+    want, ref_peak = _traced(_reference_close_group, gens, 2000)
+    assert got == want == (ClosureCapExceededError, "closure exceeded cap 2000")
+    assert peak <= ref_peak
+    assert _best_seconds(close_group, gens, 2000) <= _best_seconds(_reference_close_group, gens, 2000)
+
+
+def test_infinite_order_at_the_default_cap_stays_linear():
+    """The matrix closure is not run at DEFAULT_CAP: when it raises it
+    holds one word tuple per element, of lengths 0 .. cap - 1, about 400 MB
+    together.  That sum is a floor of its peak; the orbit closure's peak
+    must stay under it, and grow no faster than the cap."""
+    gens = [_unipotent(3)]
+    got, peak = _traced(close_group, gens, DEFAULT_CAP)
+    assert got == (ClosureCapExceededError, f"closure exceeded cap {DEFAULT_CAP}")
+    ref_floor = sum(sys.getsizeof((0,) * n) for n in range(DEFAULT_CAP))
+    assert peak < ref_floor
+    small_cap = DEFAULT_CAP // 10
+    assert peak <= 2 * (DEFAULT_CAP // small_cap) * _traced(close_group, gens, small_cap)[1]
+
+
 @pytest.mark.parametrize("gens", [
     [[[1, 1], [1, 1]], [[1, 0]]],
     [[[1, 1], [1, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]],
@@ -204,8 +257,12 @@ GROUP_FIXTURES = sorted(p for p in FIXTURE_DIR.glob("*.json")
 def test_cap_1_probes_keep_their_bytes(path, capsys):
     """The corpus probes every group fixture with --cap 1; each group has
     order at least 2, so each probe is the same cap error document."""
-    assert len(GROUP_FIXTURES) == 5
     command = json.loads(path.read_text())["command"]
     assert main([command, str(path), "--cap", "1"]) == 1
     assert capsys.readouterr().out == ('{"detail":"closure exceeded cap 1",'
                                        '"error":"ClosureCapExceededError"}\n')
+
+
+def test_group_fixtures_are_found():
+    """An empty glob would leave the byte test above with no cases."""
+    assert GROUP_FIXTURES
