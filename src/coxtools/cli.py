@@ -23,9 +23,12 @@ from .errors import DOMAIN_ERRORS, NotSaturatedError
 # CycloNum builds the n-th cyclotomic polynomial by dividing x^n - 1 through
 # every lower cyclotomic factor; the fixtures and tests use conductors <= 24
 MAX_CONDUCTOR = 1000
-# reynolds_invariants builds a dense N x N block per generator over the
-# N = C(degree + dim - 1, dim - 1) monomials of the degree; degree 40 in
-# dimension 3 (N = 861) peaks at about 54 MB
+# reynolds_invariants eliminates sparse rows over the N = C(degree + dim - 1,
+# dim - 1) monomials of the degree.  For diag(-1, 1, 1) at degree 40 in
+# dimension 3 (N = 861), `reynolds` in a fresh Python 3.11 process takes
+# about 0.25 s and peaks at 17.4 MB RSS on a 2-vCPU Xeon.  A dense
+# generator still fills its rows: a conjugated 3-cycle at degree 20 takes
+# about 15 s.  Raising the cap turns exit-2 refusals into answers.
 MAX_MONOMIALS = 1000
 
 

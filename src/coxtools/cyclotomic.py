@@ -6,18 +6,16 @@ polynomial, which is computed by recursively dividing x^n - 1 by the
 lower-order factors.
 
 The public constructor takes an int conductor >= 1 and int or
-``Fraction`` coefficients, and reduces.  ``+``, ``-`` and ``*`` work on
-the numerators and build their results through ``_make``.  ``*``
-multiplies only nonzero coefficient pairs, and the reduction reads only
-the nonzero coefficients of Phi_n, which is monic, so no division is
-needed.
+``Fraction`` coefficients, and reduces.  ``rational``, ``+``, ``-``,
+``*``, ``inverse`` and ``/`` work on the numerators and build their
+results through ``_make``.  ``*`` multiplies only nonzero coefficient
+pairs, and the reduction reads only the nonzero coefficients of Phi_n,
+which is monic, so no division is needed.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-
-from . import intlinalg as la
 
 
 def euler_phi(n):
@@ -73,12 +71,10 @@ class CycloNum:
     __slots__ = ("conductor", "num", "den")
 
     def __init__(self, conductor, coeffs=()):
-        if not isinstance(conductor, int) or conductor < 1:
-            raise ValueError(f"conductor must be an int >= 1, got {conductor!r}")
+        deg = _degree(conductor)
         cs = list(coeffs)
         if not all(isinstance(c, (int, Fraction)) for c in cs):
             raise ValueError(f"coefficients must be ints or Fractions, got {cs!r}")
-        deg = euler_phi(conductor)
         cs = [Fraction(c) for c in cs]
         if len(cs) > deg:
             cs = _reduce(cs, conductor)
@@ -107,7 +103,12 @@ class CycloNum:
 
     @classmethod
     def rational(cls, conductor, value):
-        return cls(conductor, (value,))
+        """``value`` in QQ(zeta_conductor); an int or ``Fraction`` is read
+        off its numerator and denominator, with no coercion."""
+        if not isinstance(value, (int, Fraction)):
+            return cls(conductor, (value,))  # which raises
+        num = (value.numerator,) + (0,) * (_degree(conductor) - 1)
+        return cls._make(conductor, num, value.denominator)
 
     @classmethod
     def zeta(cls, conductor):
@@ -155,22 +156,43 @@ class CycloNum:
     __rmul__ = __mul__
 
     def inverse(self):
-        """Multiplicative inverse: a*x == 1 as one fraction-free elimination
-        over the integers, column j of the system being a*zeta^j."""
+        """Multiplicative inverse by a fraction-free extended Euclid of the
+        numerator a against Phi_n (a primitive PRS, Brown, J. ACM 18, 1971).
+
+        Each remainder r keeps its cofactor s, r == s*a mod Phi_n: a step
+        scales r0 by r1's leading coefficient and subtracts a monomial
+        multiple of r1, and s0 follows.  After each pseudo-division the
+        pair's common content is divided out.  Phi_n is irreducible, so the
+        remainders end in an integer c, and a^-1 == s / c."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        deg = len(self.num)
-        cs = self.coeffs
-        # a positive first coefficient keeps 1 - zeta^k's pivots at 1 (sparse)
-        den = lcm(*{c.denominator for c in cs})
-        if next(c for c in cs if c) < 0:
-            den = -den
-        num = [int(c * den) for c in cs]
-        cols = [_reduce([0] * j + num, self.conductor) for j in range(deg)]
-        rows = la.bareiss([[*row, int(i == 0)] for i, row in enumerate(zip(*cols))], deg)[0]
-        # num * y == 1 with x == den * y; row i holds the pivot d at column i
-        return CycloNum(self.conductor, [Fraction(den * row[deg], row[i])
-                                         for i, row in enumerate(rows)])
+        r0, s0 = list(cyclotomic_polynomial(self.conductor)), []
+        r1, s1 = list(self.num), [1]
+        while not r1[-1]:
+            r1.pop()
+        while len(r1) > 1:
+            lead = r1[-1]
+            while len(r0) >= len(r1):
+                g = gcd(lead, r0[-1])
+                p, q, k = lead // g, r0[-1] // g, len(r0) - len(r1)
+                if p != 1:
+                    r0, s0 = [p * x for x in r0], [p * x for x in s0]
+                s0 += [0] * (k + len(s1) - len(s0))
+                for j, y in enumerate(r1):
+                    if y:
+                        r0[k + j] -= q * y
+                for j, y in enumerate(s1):
+                    if y:
+                        s0[k + j] -= q * y
+                while not r0[-1]:
+                    r0.pop()
+            g = gcd(*r0, *s0)
+            r0, s0, r1, s1 = r1, s1, [x // g for x in r0], [x // g for x in s0]
+        c = r1[0]
+        if c < 0:
+            c, s1 = -c, [-x for x in s1]
+        s1 += [0] * (len(self.num) - len(s1))
+        return self._make(self.conductor, tuple([self.den * x for x in s1]), c)
 
     def __truediv__(self, other):
         return self * self._check(other).inverse()
@@ -225,6 +247,14 @@ class CycloNum:
 
 
 _ZERO = Fraction(0)
+
+
+def _degree(conductor):
+    """phi(conductor) for an int conductor >= 1; anything else, a bool
+    included, raises ValueError."""
+    if isinstance(conductor, bool) or not isinstance(conductor, int) or conductor < 1:
+        raise ValueError(f"conductor must be an int >= 1, got {conductor!r}")
+    return euler_phi(conductor)
 
 
 @lru_cache(maxsize=None)

@@ -415,41 +415,3 @@ def saturation_basis(a):
     vinv = inverse_int(v)
     return vinv[:r]
 
-
-# ---------------------------------------------------------------------------
-# Exact elimination over a cyclotomic field.
-# ---------------------------------------------------------------------------
-
-def rref(rows, ncols=None):
-    """Reduced row echelon form over an exact field.
-
-    ``rows`` is a list of row sequences, reduced in place; entries need only
-    truthiness as the zero test, ``1 / x``, ``*`` and ``-``, so the loop
-    serves CycloNum (integer and rational matrices go to :func:`bareiss`).
-    Only the first ``ncols`` columns (default: all) are pivot candidates,
-    which leaves augmented columns as passengers.  Returns
-    ``(rows, pivots)``: the first ``len(pivots)`` rows are the nonzero
-    echelon rows, each with a 1 at its pivot column and zeros above and
-    below it.  Zero entries are passed over in the row updates, which keeps
-    sparse systems (such as invariant-form equations) cheap.
-    """
-    if ncols is None:
-        ncols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == len(rows):
-            break
-        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv if x else x for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y if y else x for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return rows, pivots

@@ -88,13 +88,15 @@ class MatGroup:
         self.elements = elements
         self.right = right
         self.words = words
-        self._index = {m: i for i, m in enumerate(elements)}
+        self._index = None
 
     @property
     def order(self):
         return len(self.elements)
 
     def index_of(self, m):
+        if self._index is None:  # built on demand: reynolds never asks
+            self._index = {m: i for i, m in enumerate(self.elements)}
         return self._index[m]
 
     def mul(self, i, j):
@@ -131,7 +133,7 @@ def close_group(generators, conductor=None, cap=DEFAULT_CAP):
     for g in gens:
         if len(g) != dim or any(len(row) != dim for row in g):
             raise ValueError("generators must be square of equal size")
-        if len(la.rref(list(g))[1]) < dim:
+        if len(_echelon([{j: x for j, x in enumerate(row) if x} for row in g])) < dim:
             raise NotInvertibleError("singular generator")
     if not dim:
         raise ValueError("generators must have at least one row")
@@ -281,23 +283,64 @@ def quotient_report(group):
 
 # -- invariant forms --------------------------------------------------------
 
+def _poly_mul(p, q):
+    """Product of polynomials held as dicts from exponent tuples."""
+    out = {}
+    for a, x in p.items():
+        for b, y in q.items():
+            key = tuple([s + t for s, t in zip(a, b)])
+            z = out.get(key)
+            out[key] = x * y if z is None else z + x * y
+    return {k: v for k, v in out.items() if v}
+
+
 def _apply_matrix_to_monomial(group, a, expo):
     """Image of x^expo under x_j -> sum_i a[j][i] x_i, as an exponent dict."""
-    conductor = group.conductor
-    acc = {(0,) * group.dim: CycloNum.rational(conductor, 1)}
-    for j, e in enumerate(expo):
+    units = la.identity(group.dim)
+    acc = {(0,) * group.dim: CycloNum.rational(group.conductor, 1)}
+    for row, e in zip(a, expo):
+        form = {u: x for u, x in zip(units, row) if x}
         for _ in range(e):
-            nxt = {}
-            for mono, coeff in acc.items():
-                for i in range(group.dim):
-                    entry = a[j][i]
-                    if entry.is_zero():
-                        continue
-                    key = tuple(m + (1 if t == i else 0) for t, m in enumerate(mono))
-                    cur = nxt.get(key)
-                    nxt[key] = entry * coeff if cur is None else cur + entry * coeff
-            acc = {k: v for k, v in nxt.items() if not v.is_zero()}
+            acc = _poly_mul(acc, form)
     return acc
+
+
+def _echelon(rows):
+    """Reduced echelon form of sparse rows over a cyclotomic field, with
+    pivots taken from the last column to the first.
+
+    ``rows`` are dicts from column to nonzero ``CycloNum``, reduced in
+    place.  Returns a dict from each pivot column p to its row scaled to 1
+    at p, stored without p: its other entries sit at non-pivot columns
+    below p.  That form of a row space is unique, so the row order does
+    not matter.  A row is reduced by the pivot rows it meets, which adds
+    entries at non-pivot columns only, pivots on its last column, and is
+    subtracted from the pivot rows holding that column.
+    """
+    solved = {}
+    for row in rows:
+        for c in [c for c in row if c in solved]:
+            _subtract(row, row.pop(c), solved[c])
+        row = {j: x for j, x in row.items() if x}
+        if not row:
+            continue
+        p = max(row)
+        inv = row.pop(p).inverse()
+        row = {j: x * inv for j, x in row.items()}
+        for c, other in solved.items():
+            if p in other:
+                _subtract(other, other.pop(p), row)
+                solved[c] = {j: x for j, x in other.items() if x}
+        solved[p] = row
+    return solved
+
+
+def _subtract(row, f, other):
+    """row -= f * other for sparse rows, in place; zeros are left in."""
+    f = -f
+    for j, y in other.items():
+        x = row.get(j)
+        row[j] = f * y if x is None else x + f * y
 
 
 def reynolds_invariants(group, degree):
@@ -305,37 +348,38 @@ def reynolds_invariants(group, degree):
 
     A form is invariant exactly when every generator fixes it, so the
     invariants are the common kernel of S^d(g) - I over the generators
-    (the image of the Reynolds operator).  One elimination of the stacked
-    equations gives a kernel basis; its reduced row echelon form over the
-    cyclotomic field (leading coefficient 1) is the returned basis, each
-    form a dict from exponent tuples to CycloNum coefficients.
+    (the image of the Reynolds operator).  The equations are sparse rows,
+    and one ``_echelon`` of them leaves free columns only below each
+    pivot, so the kernel vector of free column f (1 at f, minus the rows'
+    f entries at their pivots) leads with f: these vectors are the reduced
+    row echelon basis (leading coefficient 1), each form a dict from
+    exponent tuples to CycloNum coefficients.
     """
-    if not isinstance(degree, int):
+    if isinstance(degree, bool) or not isinstance(degree, int):
         raise ValueError(f"degree must be an int, got {degree!r}")
     if degree < 1:
         raise ValueError("degree must be at least 1")
     monos = tuple(la.compositions(degree, group.dim))
     index = {m: i for i, m in enumerate(monos)}
-    one, zero = CycloNum.rational(group.conductor, 1), CycloNum(group.conductor)
+    one = CycloNum.rational(group.conductor, 1)
 
     # row t of generator g: sum_m c_m * ([x^t] g.x^m - [m == t]) == 0
     equations = []
     for g in group.generators:
-        block = [[zero] * len(monos) for _ in monos]
+        block = {}
         for col, m in enumerate(monos):
-            for t, coeff in _apply_matrix_to_monomial(group, g, m).items():
-                block[index[t]][col] = coeff
-            block[col][col] -= one
-        equations += [row for row in block if any(row)]
+            for t, x in _apply_matrix_to_monomial(group, g, m).items():
+                block.setdefault(index[t], {})[col] = x
+            row = block.setdefault(col, {})
+            row[col] = row[col] - one if col in row else -one
+        equations += [{c: x for c, x in row.items() if x} for row in block.values()]
 
-    rows, pivots = la.rref(equations, len(monos))
-    solved = dict(zip(pivots, rows))
-    # free column f spans the kernel vector with 1 at f and -row[f] at each
-    # pivot column; these are not echelon rows, so reduce them once more
-    kernel = [[-solved[c][f] if c in solved else one if c == f else zero
-               for c in range(len(monos))] for f in range(len(monos)) if f not in solved]
-    kernel, pivots = la.rref(kernel, len(monos))
-    return [{monos[j]: v for j, v in enumerate(row) if v} for row in kernel[:len(pivots)]]
+    solved = _echelon(equations)
+    kernel = {f: {monos[f]: one} for f in range(len(monos)) if f not in solved}
+    for p in sorted(solved):
+        for f, x in solved[p].items():
+            kernel[f][monos[p]] = -x
+    return list(kernel.values())
 
 
 def symmetric_power_trace_dimension(group, degree):

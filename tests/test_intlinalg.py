@@ -6,7 +6,6 @@ import sympy
 from sympy.matrices.normalforms import smith_normal_form
 
 from coxtools import intlinalg as la
-from coxtools.cyclotomic import CycloNum
 
 
 def test_vec_and_mat_take_exact_integers_only():
@@ -277,39 +276,6 @@ def test_lattice_coords_on_and_off_the_lattice():
                 assert la.lattice_coords(a, e) is None
                 off_span += 1
     assert off_span
-
-
-def test_rref_over_cyclotomic_field_has_known_rank():
-    """L * B * C * U over QQ(zeta_5), where B = [I_r; X] and C = [I_r | Y]
-    have rank r and L, U are unitriangular, so the product has rank r."""
-    rng = random.Random(5)
-    z = CycloNum.zeta(5)
-    one, zero = CycloNum.rational(5, 1), CycloNum(5)
-
-    def rand():
-        return CycloNum(5, [rng.randint(-2, 2) for _ in range(4)])
-
-    def mul(a, b):
-        return [[sum((a[i][t] * b[t][j] for t in range(len(b))), zero)
-                 for j in range(len(b[0]))] for i in range(len(a))]
-
-    for _ in range(8):
-        n = rng.randint(2, 4)
-        r = rng.randint(0, n)
-        b = [[one if i == j else zero for j in range(r)] if i < r else [rand() for _ in range(r)]
-             for i in range(n)]
-        c = [[one if i == j else zero for j in range(r)] + [rand() for _ in range(n - r)]
-             for i in range(r)]
-        low = [[one if i == j else (rand() if j < i else zero) for j in range(n)] for i in range(n)]
-        up = [[one if i == j else (rand() * z if j > i else zero) for j in range(n)]
-              for i in range(n)]
-        a = mul(mul(low, b), mul(c, up)) if r else [[zero] * n for _ in range(n)]
-        rows, pivots = la.rref(a)
-        assert len(pivots) == r
-        for i, p in enumerate(pivots):
-            assert rows[i][p].is_one()
-            assert all(not rows[k][p] for k in range(n) if k != i)
-        assert all(not x for row in rows[r:] for x in row)
 
 
 # -- compositions ----------------------------------------------------------------

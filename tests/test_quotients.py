@@ -3,18 +3,21 @@ import itertools
 import math
 import operator
 import random
+import time
+import tracemalloc
 from fractions import Fraction
+from math import lcm
 
 import pytest
 import sympy
 
 from coxtools import intlinalg as la
 from coxtools import quotients
-from coxtools.cyclotomic import CycloNum, cyclotomic_polynomial, euler_phi
+from coxtools.cyclotomic import CycloNum, _reduce, cyclotomic_polynomial, euler_phi
 from coxtools.quotients import (ClosureCapExceededError, MatGroup, NotInvertibleError,
-                                QuotientReport, _apply_matrix_to_monomial, c_mul, close_group,
-                                pseudoreflections, quotient_report, reynolds_invariants,
-                                symmetric_power_trace_dimension)
+                                QuotientReport, _apply_matrix_to_monomial, _echelon, c_mul,
+                                close_group, pseudoreflections, quotient_report,
+                                reynolds_invariants, symmetric_power_trace_dimension)
 
 
 def _i():
@@ -24,6 +27,50 @@ def _i():
 def _q8():
     i = _i()
     return close_group([[[i, 0], [0, -i]], [[0, 1], [-1, 0]]], conductor=4)
+
+
+def _rref(rows, ncols=None):
+    """The earlier ``intlinalg.rref`` verbatim: dense Gauss-Jordan over an
+    exact field, kept as the oracle of the sparse elimination."""
+    if ncols is None:
+        ncols = len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == len(rows):
+            break
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv if x else x for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y if y else x for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows, pivots
+
+
+def _reference_inverse(self):
+    """The earlier ``CycloNum.inverse`` verbatim: a*x == 1 as one dense
+    fraction-free elimination over the integers, column j being a*zeta^j."""
+    if self.is_zero():
+        raise ZeroDivisionError("inverse of zero")
+    deg = len(self.num)
+    cs = self.coeffs
+    # a positive first coefficient keeps 1 - zeta^k's pivots at 1 (sparse)
+    den = lcm(*{c.denominator for c in cs})
+    if next(c for c in cs if c) < 0:
+        den = -den
+    num = [int(c * den) for c in cs]
+    cols = [_reduce([0] * j + num, self.conductor) for j in range(deg)]
+    rows = la.bareiss([[*row, int(i == 0)] for i, row in enumerate(zip(*cols))], deg)[0]
+    # num * y == 1 with x == den * y; row i holds the pivot d at column i
+    return CycloNum(self.conductor, [Fraction(den * row[deg], row[i])
+                                     for i, row in enumerate(rows)])
 
 
 # -- cyclotomic arithmetic ------------------------------------------------------
@@ -86,6 +133,39 @@ def test_inverse_of_random_elements():
     assert checked >= 300
 
 
+def test_inverse_matches_the_bareiss_reference():
+    """The Euclid inverse equals the dense elimination's, in normal form,
+    on seeded elements of every conductor 1..60 and sparse ones at 420
+    and 1000 (at 1000 only where the elimination has unit pivots)."""
+    rng = random.Random(24)
+    cases = []
+    for n in range(1, 61):
+        cases += [_random_cyclonum(rng, n, density) for density in (0.3, 0.7, 1.0)]
+        cases += [CycloNum.zeta(n), 1 - CycloNum.zeta(n), CycloNum.rational(n, Fraction(-5, 3))]
+    z = CycloNum.zeta(420)
+    cases += [CycloNum(420, [1, 2, 0, 0, 0, Fraction(1, 3)]), 2 - z, CycloNum.rational(420, -7)]
+    z = CycloNum.zeta(1000)
+    cases += [_power(z, 7), 1 - _power(z, 3), 1 + z - _power(z, 9), CycloNum.rational(1000, -1)]
+    checked = 0
+    for x in cases:
+        if x:
+            got = x.inverse()
+            assert got == _reference_inverse(x) and (x * got).is_one()
+            assert math.gcd(got.den, *got.num) == 1 and got.den > 0
+            checked += 1
+    assert checked >= 350
+
+
+def test_inverse_at_the_largest_conductor_is_fast():
+    """Conductor 1000 is the CLI's largest; the dense elimination took
+    seconds on this element."""
+    x = CycloNum(1000, [1, 2, 0, 0, 0, Fraction(1, 3)])
+    start = time.perf_counter()
+    y = x.inverse()
+    assert time.perf_counter() - start < 0.5
+    assert (x * y).is_one()
+
+
 def test_subtraction_from_a_rational():
     for n in (1, 3, 4, 5, 12):
         z = CycloNum.zeta(n)
@@ -139,8 +219,9 @@ def test_arithmetic_results_are_in_normal_form():
 
 
 def test_integral_arithmetic_creates_no_fraction(monkeypatch):
-    """+, - and * of elements with integral coefficients work on the integer
-    numerators alone: not one Fraction is created."""
+    """+, -, *, /, inverse and rational of elements with integral
+    coefficients work on the integer numerators alone: not one Fraction is
+    created."""
     rng = random.Random(5)
     pairs = []
     for n in (1, 3, 4, 5, 7, 8, 12, 15, 24):
@@ -155,17 +236,23 @@ def test_integral_arithmetic_creates_no_fraction(monkeypatch):
         created.append(args)
         return new(cls, *args, **kwargs)
 
+    ops = (operator.add, operator.sub, operator.mul)
     monkeypatch.setattr(Fraction, "__new__", counting_new)
-    results = [op(a, b) for a, b in pairs for op in (operator.add, operator.sub, operator.mul)]
+    results = [op(a, b) for a, b in pairs for op in ops]
+    inverses = [(b.inverse(), a / b, 1 / b) for a, b in pairs if b]
+    rationals = [CycloNum.rational(n, k) for n in (1, 5, 12) for k in (-3, 0, 1, 7)]
     assert created == []
-    CycloNum.rational(5, 1)  # the public constructor still coerces: the count sees it
+    CycloNum(5, [1])  # the public constructor still coerces: the count sees it
     assert created
     monkeypatch.undo()
     assert results == [op(CycloNum(a.conductor, a.coeffs), CycloNum(b.conductor, b.coeffs))
-                       for a, b in pairs for op in (operator.add, operator.sub, operator.mul)]
+                       for a, b in pairs for op in ops]
+    assert inverses == [(_reference_inverse(b), a * _reference_inverse(b), _reference_inverse(b))
+                        for a, b in pairs if b]
+    assert rationals == [CycloNum(n, [k]) for n in (1, 5, 12) for k in (-3, 0, 1, 7)]
 
 
-@pytest.mark.parametrize("conductor", [4.9, 0, -4, Fraction(4), "4", None])
+@pytest.mark.parametrize("conductor", [4.9, 0, -4, Fraction(4), "4", None, True, False])
 def test_cyclonum_refuses_a_conductor_that_is_not_a_positive_int(conductor):
     with pytest.raises(ValueError):
         CycloNum(conductor, [1, 1])
@@ -386,14 +473,14 @@ def _reference_pseudoreflections(group):
     """The elimination test: rank(A - I) == 1 by row reduction."""
     one = CycloNum.rational(group.conductor, 1)
     return [i for i, a in enumerate(group.elements)
-            if len(la.rref([[x - one if r == c else x for c, x in enumerate(row)]
-                            for r, row in enumerate(a)])[1]) == 1]
+            if len(_rref([[x - one if r == c else x for c, x in enumerate(row)]
+                          for r, row in enumerate(a)])[1]) == 1]
 
 
 def test_pseudoreflections_match_elimination_reference(monkeypatch):
     groups = _test_groups() + [_binary_dihedral(n) for n in range(3, 9)]
     expected = [_reference_pseudoreflections(g) for g in groups]
-    monkeypatch.setattr(la, "rref", None)  # the minor test needs no elimination
+    monkeypatch.setattr(quotients, "_echelon", None)  # the minor test needs no elimination
     for g, want in zip(groups, expected):
         assert [g.index_of(a) for a in pseudoreflections(g)] == want
 
@@ -626,6 +713,26 @@ def test_invariants_multiply_to_quotient_order():
 
 # -- Reynolds invariants ----------------------------------------------------------------
 
+def _reference_apply_matrix_to_monomial(group, a, expo):
+    """The earlier ``_apply_matrix_to_monomial`` verbatim: one variable's
+    image multiplied in at a time, term by term."""
+    conductor = group.conductor
+    acc = {(0,) * group.dim: CycloNum.rational(conductor, 1)}
+    for j, e in enumerate(expo):
+        for _ in range(e):
+            nxt = {}
+            for mono, coeff in acc.items():
+                for i in range(group.dim):
+                    entry = a[j][i]
+                    if entry.is_zero():
+                        continue
+                    key = tuple(m + (1 if t == i else 0) for t, m in enumerate(mono))
+                    cur = nxt.get(key)
+                    nxt[key] = entry * coeff if cur is None else cur + entry * coeff
+            acc = {k: v for k, v in nxt.items() if not v.is_zero()}
+    return acc
+
+
 def _reference_reynolds(group, degree):
     """The Reynolds operator by averaging every degree-d monomial over all
     of G, then the reduced row echelon basis of the averages."""
@@ -639,7 +746,7 @@ def _reference_reynolds(group, degree):
     for m in monos:
         acc = {}
         for a in group.elements:
-            for mono, coeff in _apply_matrix_to_monomial(group, a, m).items():
+            for mono, coeff in _reference_apply_matrix_to_monomial(group, a, m).items():
                 cur = acc.get(mono)
                 acc[mono] = coeff if cur is None else cur + coeff
         row = [zero] * len(monos)
@@ -649,9 +756,41 @@ def _reference_reynolds(group, degree):
                 row[index[mono]] = val
         vectors.append(row)
 
-    vectors, pivots = la.rref(vectors)
+    vectors, pivots = _rref(vectors)
     return [{monos[j]: v for j, v in enumerate(row) if v}
             for row in vectors[:len(pivots)]]
+
+
+def _reference_reynolds_dense(group, degree):
+    """The earlier ``reynolds_invariants`` verbatim: a dense N x N block per
+    generator, one elimination of the stacked equations, and a second one
+    that brings the kernel basis to reduced echelon form."""
+    if not isinstance(degree, int):
+        raise ValueError(f"degree must be an int, got {degree!r}")
+    if degree < 1:
+        raise ValueError("degree must be at least 1")
+    monos = tuple(la.compositions(degree, group.dim))
+    index = {m: i for i, m in enumerate(monos)}
+    one, zero = CycloNum.rational(group.conductor, 1), CycloNum(group.conductor)
+
+    # row t of generator g: sum_m c_m * ([x^t] g.x^m - [m == t]) == 0
+    equations = []
+    for g in group.generators:
+        block = [[zero] * len(monos) for _ in monos]
+        for col, m in enumerate(monos):
+            for t, coeff in _reference_apply_matrix_to_monomial(group, g, m).items():
+                block[index[t]][col] = coeff
+            block[col][col] -= one
+        equations += [row for row in block if any(row)]
+
+    rows, pivots = _rref(equations, len(monos))
+    solved = dict(zip(pivots, rows))
+    # free column f spans the kernel vector with 1 at f and -row[f] at each
+    # pivot column; these are not echelon rows, so reduce them once more
+    kernel = [[-solved[c][f] if c in solved else one if c == f else zero
+               for c in range(len(monos))] for f in range(len(monos)) if f not in solved]
+    kernel, pivots = _rref(kernel, len(monos))
+    return [{monos[j]: v for j, v in enumerate(row) if v} for row in kernel[:len(pivots)]]
 
 
 def _permutation_group(n, perms):
@@ -700,7 +839,7 @@ def test_reynolds_trivial_group():
     assert len(basis) == 4  # all cubic monomials in two variables
 
 
-@pytest.mark.parametrize("degree", [2.5, 2.0, Fraction(5, 2), "2"])
+@pytest.mark.parametrize("degree", [2.5, 2.0, Fraction(5, 2), "2", True, False])
 def test_reynolds_refuses_a_degree_that_is_not_an_int(degree):
     triv = close_group([[[1, 0], [0, 1]]], conductor=1)
     with pytest.raises(ValueError):
@@ -723,7 +862,7 @@ def test_reynolds_invariance_under_action():
         for a in g.elements:
             acc = {}
             for expo, coeff in form.items():
-                for mono, c in _apply_matrix_to_monomial(g, a, expo).items():
+                for mono, c in _reference_apply_matrix_to_monomial(g, a, expo).items():
                     cur = acc.get(mono)
                     val = coeff * c
                     acc[mono] = val if cur is None else cur + val
@@ -747,3 +886,111 @@ def test_reynolds_dimension_matches_trace_formula():
         for d in degrees:
             assert len(reynolds_invariants(group, d)) == \
                 symmetric_power_trace_dimension(group, d)
+
+
+def _seeded_generators(rng, dim, n):
+    """One to three monomial generators (a permutation times roots of
+    unity) of a finite group, and the same generators conjugated by a
+    unimodular integer matrix, which makes them dense."""
+    z, zero = CycloNum.zeta(n), CycloNum(n)
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        perm = rng.sample(range(dim), dim)
+        gens.append(tuple(tuple(_power(z, rng.randrange(n)) if c == perm[r] else zero
+                                for c in range(dim)) for r in range(dim)))
+    low = [[1 if i == j else rng.randint(-1, 1) if j < i else 0 for j in range(dim)]
+           for i in range(dim)]
+    up = [[1 if i == j else rng.randint(-1, 1) if j > i else 0 for j in range(dim)]
+          for i in range(dim)]
+    p = la.mat_mul(low, up)
+    p, pinv = quotients.cmat(n, p), quotients.cmat(n, la.inverse_int(p))
+    return gens, [c_mul(c_mul(p, g), pinv) for g in gens]
+
+
+def test_reynolds_matches_the_dense_two_elimination_solve():
+    """The sparse one-pass solve returns the dense solve's list, form for
+    form and key for key, on seeded groups of dimensions 1-3 and
+    conductors up to 12, monomial and conjugated dense, at degrees 1-8."""
+    rng = random.Random(9)
+    checked = 0
+    for dim, conductors in ((1, (1, 5, 12)), (2, (1, 3, 4, 6, 8, 12)), (3, (2, 3, 4))):
+        for n in conductors:
+            for gens in _seeded_generators(rng, dim, n):
+                group = MatGroup(dim, n, tuple(gens), (), (), ())
+                for d in range(1, 9):
+                    got = reynolds_invariants(group, d)
+                    want = _reference_reynolds_dense(group, d)
+                    assert got == want
+                    assert [list(f) for f in got] == [list(f) for f in want]
+                    checked += 1
+    assert checked > 150
+
+
+def test_monomial_images_match_the_reference():
+    rng = random.Random(4)
+    for dim, n in ((1, 5), (2, 4), (2, 12), (3, 3)):
+        for g in _seeded_generators(rng, dim, n)[1]:
+            group = MatGroup(dim, n, (g,), (), (), ())
+            for d in range(6):
+                for m in la.compositions(d, dim):
+                    assert _apply_matrix_to_monomial(group, g, m) == \
+                        _reference_apply_matrix_to_monomial(group, g, m)
+
+
+def test_reynolds_memory_follows_the_nonzeros():
+    """<diag(-1,1,1), 3-cycle> at degree 40 (N = 861 monomials): the dense
+    blocks took 23.5 MB traced; the sparse rows hold about 2N entries."""
+    g = close_group([[[-1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 1, 0], [0, 0, 1], [1, 0, 0]]])
+    assert reynolds_invariants(g, 12) == _reference_reynolds_dense(g, 12)
+    peaks, dims = {}, {}
+    for d in (20, 40):
+        tracemalloc.start()
+        try:
+            dims[d] = len(reynolds_invariants(g, d))
+            peaks[d] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert dims == {20: 22, 40: 77}  # as the dense solve found
+    # N grows 231 -> 861 (3.7x), N^2 by 13.9x
+    assert peaks[40] < 6 * peaks[20] and peaks[40] < 4_000_000
+
+
+def test_closure_builds_no_element_index():
+    g = _q8()
+    reynolds_invariants(g, 2)
+    assert g._index is None
+    assert [g.index_of(a) for a in g.elements] == list(range(g.order))
+
+
+def test_echelon_matches_the_dense_reference_on_reversed_columns():
+    """L * B * C * U over QQ(zeta_5), where B = [I_r; X] and C = [I_r | Y]
+    have rank r and L, U are unitriangular, so the product has rank r.
+    The sparse pass takes pivots from the last column, so it equals the
+    dense reduced form of the matrix with its columns reversed."""
+    rng = random.Random(5)
+    z = CycloNum.zeta(5)
+    one, zero = CycloNum.rational(5, 1), CycloNum(5)
+
+    def rand():
+        return CycloNum(5, [rng.randint(-2, 2) for _ in range(4)])
+
+    def mul(a, b):
+        return [[sum((a[i][t] * b[t][j] for t in range(len(b))), zero)
+                 for j in range(len(b[0]))] for i in range(len(a))]
+
+    for _ in range(8):
+        n = rng.randint(2, 4)
+        r = rng.randint(0, n)
+        b = [[one if i == j else zero for j in range(r)] if i < r else [rand() for _ in range(r)]
+             for i in range(n)]
+        c = [[one if i == j else zero for j in range(r)] + [rand() for _ in range(n - r)]
+             for i in range(r)]
+        low = [[one if i == j else (rand() if j < i else zero) for j in range(n)] for i in range(n)]
+        up = [[one if i == j else (rand() * z if j > i else zero) for j in range(n)]
+              for i in range(n)]
+        a = mul(mul(low, b), mul(c, up)) if r else [[zero] * n for _ in range(n)]
+        solved = _echelon([{j: x for j, x in enumerate(row) if x} for row in a])
+        rows, pivots = _rref([row[::-1] for row in a])
+        assert len(solved) == len(pivots) == r
+        assert solved == {n - 1 - p: {n - 1 - j: x for j, x in enumerate(row) if x and j != p}
+                          for row, p in zip(rows, pivots)}
