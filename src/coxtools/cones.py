@@ -14,9 +14,12 @@ tight set, the facets (or halfspaces so far) vanishing on it, and a
 generator spans an extreme ray exactly when no other generator's tight
 set contains its own, so no rank test decides extremality.  Hilbert bases
 come from the parallelepipeds of one pulling triangulation, built from
-the facets' tight sets, and are reduced by comparing facet values.
+the facets' tight sets, and are reduced by comparing facet values, each
+candidate only against the basis elements of at most half its value sum.
+A Cone is immutable and keeps its Hilbert basis once computed.
 """
 
+import bisect
 import functools
 import itertools
 import operator
@@ -33,6 +36,15 @@ class NotFullDimensionalError(ValueError):
 
 
 _MAX_RANK = 8
+# bound on the summed simplex volumes, i.e. the Hilbert basis candidates
+_VOLUME_CAP = 100000
+
+
+def _int_rank(n):
+    """``n`` if it is an int; anything else, a bool included, raises ValueError."""
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f"ambient rank must be an int, got {n!r}")
+    return n
 
 
 def _inside(dual, x):
@@ -87,9 +99,10 @@ def _dual_extreme_rays(normals, dim):
 class Cone:
     """Pointedness-aware rational cone with canonical extreme rays."""
 
+    _hilbert = None  # the Hilbert basis, once hilbert_basis has computed it
+
     def __init__(self, ambient_rank, generators, lattice=None):
-        ambient_rank = int(ambient_rank)
-        if ambient_rank < 1 or ambient_rank > _MAX_RANK:
+        if _int_rank(ambient_rank) < 1 or ambient_rank > _MAX_RANK:
             raise ValueError(f"ambient rank must be in 1..{_MAX_RANK}")
         gens = [la.vec(g) for g in generators]
         if any(len(g) != ambient_rank for g in gens):
@@ -171,6 +184,9 @@ class Cone:
                 and self.lattice == other.lattice
                 and self.rays == other.rays)
 
+    def __hash__(self):
+        return hash((self.ambient_rank, self.lattice, self.rays))
+
     def __repr__(self):
         return f"Cone(rank={self.ambient_rank}, rays={list(self.rays)})"
 
@@ -201,27 +217,26 @@ def cone_contains(c, v):
     return x is not None and _inside(c._dual, x)
 
 
-def _parallelepiped_points(rows):
+def _parallelepiped_points(rows, det, adj):
     """Nonzero lattice points of the half-open parallelepiped of ``rows``.
 
     ``rows`` are linearly independent integer vectors in ZZ^dim with
-    dim == len(rows); points x satisfy
-    x = sum t_i rows_i, 0 <= t_i < 1.  The Hermite normal form of
+    dim == len(rows), and ``(det, adj)`` is their ``la.adjugate``; points x
+    satisfy x = sum t_i rows_i, 0 <= t_i < 1.  The Hermite normal form of
     ``rows`` is upper triangular with a positive diagonal, so the box
     0 <= x_i < h_ii holds one point of each class modulo the row lattice;
     each is moved into the parallelepiped by subtracting floor(t_i) rows_i,
-    where t = x . adj / det with the integral adjugate adj = det rows^{-1}.
+    where t = x . adj / det.
     """
     h, _u = la.hnf(rows)
-    det, adj = la.adjugate(rows)
+    adj_cols = list(zip(*adj))
+    row_cols = list(zip(*rows))
     points = []
     for x in itertools.product(*(range(h[i][i]) for i in range(len(rows)))):
-        for i, ti in enumerate(la.vec_mat(x, adj)):
-            q = ti // det
-            if q:
-                x = la.vec_sub(x, la.vec_scale(rows[i], q))
-        if not la.is_zero_vec(x):
-            points.append(x)
+        q = [sum(map(operator.mul, x, col)) // det for col in adj_cols]
+        y = tuple([xj - sum(map(operator.mul, q, col)) for xj, col in zip(x, row_cols)])
+        if any(y):
+            points.append(y)
     return points
 
 
@@ -260,23 +275,34 @@ def hilbert_basis(c):
     Caratheodory every irreducible element is among them).  Each candidate
     x is read by its facet values v(x) = (d.x for each facet normal d):
     x - h lies in the cone exactly when v(x) >= v(h) componentwise, so the
-    reduction to irreducible elements compares values only.
+    reduction to irreducible elements compares values only, each x with
+    the basis elements of value sum at most half of x's.  The result is
+    kept on the cone.  Past ``_VOLUME_CAP`` summed simplex volumes it
+    raises ValueError before walking any box.
     """
     c._require_pointed()
-    coords = c._coords
+    if c._hilbert is not None:
+        return c._hilbert
+    coords, dual = c._coords, c._dual
     if c.dim == 0 or not coords:
         return ()
+    boxes = [(rows, *la.adjugate(rows)) for rows in
+             ([coords[i] for i in s] for s in _pulling_triangulation(coords, dual))]
+    if sum(abs(det) for _rows, det, _adj in boxes) > _VOLUME_CAP:
+        raise ValueError("Hilbert basis candidate space too large")
     candidates = set(coords)
-    for simplex in _pulling_triangulation(coords, c._dual):
-        candidates.update(_parallelepiped_points([coords[i] for i in simplex]))
-    # the sum of the facet values is positive on the nonzero points of the
-    # pointed cone, so a reducible x = y + z has an irreducible summand of
-    # smaller sum, accepted before x: reducing against the basis so far is exact
-    values = {x: tuple([la.dot(d, x) for d in c._dual]) for x in candidates}
-    basis, basis_values = [], []
-    for x in sorted(candidates, key=lambda x: (sum(values[x]), x)):
-        v = values[x]
-        if not any(all(map(operator.ge, v, h)) for h in basis_values):
-            basis.append(x)
-            basis_values.append(v)
-    return tuple(sorted(la.vec_mat(b, c.span_basis) for b in basis))
+    for box in boxes:
+        candidates.update(_parallelepiped_points(*box))
+    values = {x: [sum(map(operator.mul, d, x)) for d in dual] for x in candidates}
+    # the value sum is additive and positive on the nonzero points of the
+    # pointed cone, so a reducible x = y + z has an irreducible summand h of
+    # sum at most sum(v(x)) // 2, accepted before x as candidates come in
+    # increasing sum: reducing against that prefix of the basis is exact
+    basis, sums = [], []
+    for s, x, v in sorted((sum(v), x, v) for x, v in values.items()):
+        prefix = itertools.islice(basis, bisect.bisect_right(sums, s // 2))
+        if not any(all(map(operator.ge, v, h)) for h, _b in prefix):
+            basis.append((v, x))
+            sums.append(s)
+    c._hilbert = tuple(sorted(la.vec_mat(b, c.span_basis) for _v, b in basis))
+    return c._hilbert

@@ -27,7 +27,8 @@ from functools import partial
 from math import gcd, lcm
 
 from . import intlinalg as la
-from .cones import Cone, NonPointedError, _dual_extreme_rays, _inside, cone_contains, hilbert_basis
+from .cones import (Cone, NonPointedError, _dual_extreme_rays, _inside, _int_rank, cone_contains,
+                    hilbert_basis)
 from .errors import NotSaturatedError
 
 
@@ -40,7 +41,7 @@ class AffineMonoid:
     """
 
     def __init__(self, ambient_rank, generators, group_basis=None):
-        self.ambient_rank = int(ambient_rank)
+        self.ambient_rank = _int_rank(ambient_rank)
         gens = tuple(la.vec(g) for g in generators)
         if not gens:
             raise ValueError("a monoid needs at least one generator")

@@ -7,6 +7,7 @@ import pathlib
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -475,6 +476,24 @@ def test_nonpointed_cone_is_domain_error(tmp_path):
     code, out = run_cli(["cox-data", str(p)])
     assert code == 1
     assert json.loads(out)["error"] == "NonPointedError"
+
+
+@pytest.mark.parametrize("command,payload", [
+    ("cox-data", {"ambient_rank": 2, "rays": [[1, 0], [1, 10000000]]}),
+    ("saturate", {"ambient_rank": 2, "generators": [[1, 0], [1, 10000000]],
+                  "group_basis": [[1, 0], [0, 1]]}),
+], ids=["cox-data", "saturate"])
+def test_huge_hilbert_candidate_space_is_a_domain_error(tmp_path, command, payload):
+    """The dual simplex of the cox-data cone, and the monoid's cone in the
+    whole lattice, each hold 10^7 box points; both are refused before the walk."""
+    p = tmp_path / "huge.json"
+    p.write_text(json.dumps(payload))
+    start = time.perf_counter()
+    code, out = run_cli([command, str(p)])
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out.count("\n") == 1
+    assert json.loads(out) == {"error": "ValueError",
+                               "detail": "Hilbert basis candidate space too large"}
 
 
 def test_depth_flag_respected(tmp_path):

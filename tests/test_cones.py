@@ -1,10 +1,12 @@
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 
+from coxtools import cones as cones_module
 from coxtools import intlinalg as la
 from coxtools.cones import (Cone, NonPointedError, NotFullDimensionalError, _dual_extreme_rays,
                             _inside, _parallelepiped_points, _pulling_triangulation,
@@ -176,7 +178,7 @@ def test_parallelepiped_points_match_snf_reference():
             if det == 0 or abs(det) > 400:
                 continue
             signs.add(det > 0)
-            points = _parallelepiped_points(rows)
+            points = _parallelepiped_points(rows, *la.adjugate(rows))
             assert len(points) == len(set(points)) == abs(det) - 1
             assert set(points) == set(_reference_parallelepiped_points(rows))
             done += 1
@@ -217,7 +219,8 @@ def _reference_hilbert_basis(c):
     for subset in itertools.combinations(coords, dim):
         if la.det_int(subset) == 0:
             continue
-        candidates.update(p for p in _parallelepiped_points(subset) if _inside(dual, p))
+        candidates.update(p for p in _parallelepiped_points(subset, *la.adjugate(subset))
+                          if _inside(dual, p))
     # the facet-normal sum is positive on the nonzero points of the pointed
     # cone, so a reducible x = y + z has an irreducible summand of smaller
     # weight, accepted before x: reducing against the basis so far is exact
@@ -229,14 +232,14 @@ def _reference_hilbert_basis(c):
     return tuple(sorted(la.vec_mat(b, c.span_basis) for b in basis))
 
 
-def _seeded_cones(seed, count):
-    """Pointed cones in ZZ^2..ZZ^4 with coordinates in -3..3: a third are
+def _seeded_cones(seed, count, top=4):
+    """Pointed cones in ZZ^2..ZZ^top with coordinates in -3..3: a third are
     drawn in the span of fewer than n vectors, and a third have generators
     written in the basis of a random full-rank lattice."""
     rng = random.Random(seed)
     out = []
     while len(out) < count:
-        n = rng.randint(2, 4)
+        n = rng.randint(2, top)
         gens = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(2, 6))]
         lattice = None
         if len(out) % 3 == 1:  # generators in the span of k < n vectors
@@ -261,6 +264,78 @@ def test_hilbert_basis_matches_the_all_subsets_reference():
     assert any(c.lattice != la.identity(c.ambient_rank) for c in cones)
     for c in cones:
         assert hilbert_basis(c) == _reference_hilbert_basis(c), c
+
+
+def _full_scan_hilbert_basis(c):
+    """The reduction against every basis element accepted so far, without
+    the half-sum bound, kept as a test oracle."""
+    c._require_pointed()
+    coords = c._coords
+    if c.dim == 0 or not coords:
+        return ()
+    candidates = set(coords)
+    for simplex in _pulling_triangulation(coords, c._dual):
+        rows = [coords[i] for i in simplex]
+        candidates.update(_parallelepiped_points(rows, *la.adjugate(rows)))
+    values = {x: tuple([la.dot(d, x) for d in c._dual]) for x in candidates}
+    basis, basis_values = [], []
+    for x in sorted(candidates, key=lambda x: (sum(values[x]), x)):
+        v = values[x]
+        if not any(all(map(operator.ge, v, h)) for h in basis_values):
+            basis.append(x)
+            basis_values.append(v)
+    return tuple(sorted(la.vec_mat(b, c.span_basis) for b in basis))
+
+
+def test_hilbert_basis_matches_the_full_scan_reduction():
+    cones = [c for c in _seeded_cones(13, 300, top=5) if c.dim >= 2]
+    assert {c.dim for c in cones} == {2, 3, 4, 5}
+    assert any(c.dim < c.ambient_rank for c in cones)
+    assert any(c.lattice != la.identity(c.ambient_rank) for c in cones)
+    for c in cones:
+        assert hilbert_basis(c) == _full_scan_hilbert_basis(c), c
+
+
+def test_hilbert_basis_is_kept_on_the_cone(monkeypatch):
+    """The basis is computed once per Cone; an equal new Cone computes it
+    again, so no cache outlives its cone."""
+    calls = []
+    pull = cones_module._pulling_triangulation
+    monkeypatch.setattr(cones_module, "_pulling_triangulation",
+                        lambda *a: calls.append(1) or pull(*a))
+    rays = [(1, a, a * a) for a in range(8)]
+    c = Cone(3, rays)
+    assert hilbert_basis(c) is hilbert_basis(c)
+    assert len(calls) == 1
+    assert hilbert_basis(Cone(3, rays)) == hilbert_basis(c)
+    assert len(calls) == 2
+
+
+def test_volume_cap_bounds_the_summed_simplex_volumes(monkeypatch):
+    """The cap sits 10x and more above every volume the tests and fixtures
+    reach (at most 338); a cone whose simplices sum to the cap is walked,
+    one past it is refused."""
+    assert cones_module._VOLUME_CAP >= 3380
+    monkeypatch.setattr(cones_module, "_VOLUME_CAP", 100)
+    assert len(hilbert_basis(Cone(2, [(1, 0), (1, 100)]))) == 101
+    with pytest.raises(ValueError, match="candidate space too large"):
+        hilbert_basis(Cone(2, [(1, 0), (1, 101)]))
+
+
+def test_cone_hash_agrees_with_equality():
+    c = Cone(2, [(1, 0), (1, 2)])
+    d = Cone(2, [(2, 4), (3, 0), (1, 1)])
+    assert c == d and hash(c) == hash(d)
+    before = hash(c)
+    hilbert_basis(c)
+    assert hash(c) == before
+    assert len({c, d, Cone(2, [(1, 0), (1, 3)])}) == 2
+
+
+@pytest.mark.parametrize("rank", [3.7, Fraction(7, 2), "3", True, 3.0])
+def test_cone_rank_must_be_an_int(rank):
+    with pytest.raises(ValueError, match="ambient rank must be an int"):
+        Cone(rank, [(1, 0, 0)])
 
 
 def _volume(rays, simplices, height):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from coxtools import intlinalg as la
-from coxtools import monoids
+from coxtools import cones, monoids
 from coxtools.cones import Cone, NonPointedError, hilbert_basis
 from coxtools.monoids import (AffineMonoid, AxiomReport, Beta, DivisorTheory, MonoidHom,
                               NotAnEmbedding, NotSaturatedError, ViolationStar,
@@ -29,6 +29,25 @@ def test_saturation_failure_with_ambient_group():
     assert not sat and witness == (1, 0)
     with pytest.raises(NotSaturatedError):
         divisor_theory(m)
+
+
+@pytest.mark.parametrize("rank", [2.5, Fraction(5, 2), "2", True])
+def test_monoid_rank_must_be_an_int(rank):
+    with pytest.raises(ValueError, match="ambient rank must be an int"):
+        AffineMonoid(rank, [(1, 0), (0, 1)])
+
+
+def test_divisor_theory_and_its_axioms_triangulate_once(monkeypatch):
+    """On the hb-moment3-8 monoid (the 64-element Hilbert basis of the
+    moment cone (1, a, a^2), a < 8, as generators), the axiom check reuses
+    the basis that divisor_theory computed to prove saturation."""
+    gens = hilbert_basis(Cone(3, [(1, a, a * a) for a in range(8)]))
+    calls = []
+    pull = cones._pulling_triangulation
+    monkeypatch.setattr(cones, "_pulling_triangulation", lambda *a: calls.append(1) or pull(*a))
+    dt = divisor_theory(AffineMonoid(3, gens))
+    assert verify_divisor_axioms(dt, 6).ok
+    assert len(calls) == 1
 
 
 def test_saturation_inside_own_group():

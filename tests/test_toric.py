@@ -52,6 +52,16 @@ def test_cyclic_quotient_cox_data():
     assert [d.torsion for d in cd.var_degrees] == [(1,), (1,)]
 
 
+def test_cox_data_hashes(quadric):
+    """CoxData is a frozen dataclass, so it hashes its fields, the Cone
+    included; the cached characters do not change the hash."""
+    again = cox_data(Cone(3, quadric.rays))
+    assert again == quadric and hash(again) == hash(quadric)
+    before = hash(again)
+    assert again.characters
+    assert hash(again) == before
+
+
 def test_cox_data_rejects_bad_cones():
     with pytest.raises(NotFullDimensionalError):
         cox_data(Cone(3, [(1, 0, 0), (0, 1, 0)]))
