@@ -6,7 +6,8 @@ values (tuples, Fractions, ints, result records read through ``vars``)
 to ``encode``; ``emit`` prints the result as canonical JSON: sorted
 keys, and every integer or rational rendered as a string so arbitrary
 precision survives transport.  Exit codes: 0 success (a found
-violation is a success), 1 domain error, 2 malformed input.
+violation is a success), 1 domain error, 2 malformed input, usage errors
+included.
 
 Each handler and decoder imports the library modules it uses when it
 runs, so a cold process loads only its subcommand's modules.
@@ -459,32 +460,38 @@ COMMANDS = {
 }
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(
-        prog="coxtools",
-        description="Exact monoid, toric, and automorphism computations over JSON files.")
-    parser.add_argument("command", choices=sorted(COMMANDS))
-    parser.add_argument("input", help="path to a JSON payload or fixture file")
-    parser.add_argument("--depth", type=int, default=None,
-                        help="depth echoed by check-axioms, which is exact")
-    parser.add_argument("--cap", type=int, default=None,
-                        help="group closure cap")
-    parser.add_argument("--pretty", action="store_true", help="indent the output")
-    args = parser.parse_args(argv)
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise InputError, so they print one JSON document and
+    exit 2 like any other malformed input, and never raise SystemExit."""
 
+    def error(self, message):
+        raise InputError(message)
+
+
+def main(argv=None):
+    # no -h/--help: it would print text, not JSON, so it is an unknown flag
+    parser = _Parser(prog="coxtools", add_help=False)
+    parser.add_argument("command", choices=sorted(COMMANDS))
+    parser.add_argument("input")
+    parser.add_argument("--depth", type=int, default=None)
+    parser.add_argument("--cap", type=int, default=None)
+    parser.add_argument("--pretty", action="store_true")
+    pretty = False
     try:
+        args = parser.parse_args(argv)
+        pretty = args.pretty
         result = COMMANDS[args.command](_load(args.input), args)
     except InputError as exc:
-        emit({"error": "malformed_input", "detail": str(exc)}, args.pretty)
+        emit({"error": "malformed_input", "detail": str(exc)}, pretty)
         return 2
     except NotSaturatedError as exc:
         emit({"error": "not_saturated", "witness": exc.witness,
-              "detail": str(exc)}, args.pretty)
+              "detail": str(exc)}, pretty)
         return 1
     except DOMAIN_ERRORS as exc:
-        emit({"error": type(exc).__name__, "detail": str(exc)}, args.pretty)
+        emit({"error": type(exc).__name__, "detail": str(exc)}, pretty)
         return 1
-    emit(result, args.pretty)
+    emit(result, pretty)
     return 0
 
 

@@ -147,6 +147,7 @@ class Cone:
         dim = len(span)
         # rows of span_basis are ambient vectors: a basis of L ∩ span(rays)
         self.span_basis = tuple(la.vec_mat(s, lattice) for s in span)
+        self._gen_coords = tuple(sub)  # the nonzero generators on span_basis
 
         kept = list(dict.fromkeys(la.primitive(c) for c in sub))
         dual = _dual_extreme_rays(kept, dim)

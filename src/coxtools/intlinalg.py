@@ -97,11 +97,47 @@ def compositions(total, parts):
 
 
 # ---------------------------------------------------------------------------
-# Hermite and Smith normal forms with transformation matrices.
+# Hermite and Smith normal forms: one row-Hermite kernel with passengers.
 # ---------------------------------------------------------------------------
 
+def _hermite(rows, ncols):
+    """Row Hermite normal form of the first ``ncols`` columns, in place.
+
+    ``rows`` is a list of integer lists; the columns from ``ncols`` on are
+    passengers, carried along by every row operation (as in ``bareiss``).
+    Column by column, the rows from the next pivot row down run Euclid's
+    algorithm on their entries until one is nonzero; it becomes a positive
+    pivot, and the entries above it are reduced into [0, pivot).  Zero rows
+    sink to the bottom.  Returns the rank.
+    """
+    m = len(rows)
+    r = 0
+    for c in range(ncols):
+        live = [i for i in range(r, m) if rows[i][c]]
+        if not live:
+            continue
+        while len(live) > 1:
+            i0 = min(live, key=lambda i: abs(rows[i][c]))
+            top = rows[i0]
+            for i in live:
+                q = rows[i][c] // top[c]
+                if i != i0 and q:
+                    rows[i] = [x - q * y for x, y in zip(rows[i], top)]
+            live = [i for i in live if rows[i][c]]
+        rows[r], rows[live[0]] = rows[live[0]], rows[r]
+        if rows[r][c] < 0:
+            rows[r] = [-x for x in rows[r]]
+        top = rows[r]
+        for i in range(r):
+            q = rows[i][c] // top[c]
+            if q:
+                rows[i] = [x - q * y for x, y in zip(rows[i], top)]
+        r += 1
+    return r
+
+
 def hnf(a):
-    """Row Hermite normal form.
+    """Row Hermite normal form: ``_hermite`` on [a | I].
 
     Returns (H, U) with U unimodular and U.a == H.  Pivots are positive,
     entries above a pivot are reduced into [0, pivot), zero rows sink to
@@ -110,130 +146,45 @@ def hnf(a):
     a = mat(a)
     if not a:
         raise ValueError("empty matrix")
-    m, n = len(a), len(a[0])
-    h = [list(r) for r in a]
-    u = [list(r) for r in identity(m)]
-
-    def row_sub(i, j, q):
-        if q:
-            h[i] = [x - q * y for x, y in zip(h[i], h[j])]
-            u[i] = [x - q * y for x, y in zip(u[i], u[j])]
-
-    r = 0
-    for c in range(n):
-        rows = [i for i in range(r, m) if h[i][c] != 0]
-        if not rows:
-            continue
-        while len(rows) > 1:
-            i0 = min(rows, key=lambda i: abs(h[i][c]))
-            for i in rows:
-                if i != i0:
-                    row_sub(i, i0, h[i][c] // h[i0][c])
-            rows = [i for i in range(r, m) if h[i][c] != 0]
-        i0 = rows[0]
-        if i0 != r:
-            h[r], h[i0] = h[i0], h[r]
-            u[r], u[i0] = u[i0], u[r]
-        if h[r][c] < 0:
-            h[r] = [-x for x in h[r]]
-            u[r] = [-x for x in u[r]]
-        for i in range(r):
-            row_sub(i, r, h[i][c] // h[r][c])
-        r += 1
-        if r == m:
-            break
-    return mat(h), mat(u)
+    n = len(a[0])
+    rows = [[*row, *e] for row, e in zip(a, identity(len(a)))]
+    _hermite(rows, n)
+    return tuple([tuple(r[:n]) for r in rows]), tuple([tuple(r[n:]) for r in rows])
 
 
 def snf(a):
-    """Smith normal form.
+    """Smith normal form by alternating row and column Hermite forms
+    (Kannan and Bachem, SIAM J. Comput. 8, 1979), which keeps every entry
+    reduced.
 
     Returns (S, U, V) with U, V unimodular, U.a.V == S, S diagonal with
-    nonnegative entries s1 | s2 | ... .
+    nonnegative entries s1 | s2 | ... .  The block matrix [[S, U], [V, 0]]
+    is transposed after each pass, so a row pass runs ``_hermite`` over
+    [S | U] and a column pass over [S^T | V^T].  A matrix in row and in
+    column Hermite form is diagonal.  Where s_i does not divide s_{i+1},
+    column i+1 is added to column i, and the next row pass puts their gcd
+    at (i, i).
     """
     a = mat(a)
     if not a:
         raise ValueError("empty matrix")
     m, n = len(a), len(a[0])
-    s = [list(r) for r in a]
-    u = [list(r) for r in identity(m)]
-    v = [list(r) for r in identity(n)]
-
-    def row_sub(i, j, q):
-        if q:
-            s[i] = [x - q * y for x, y in zip(s[i], s[j])]
-            u[i] = [x - q * y for x, y in zip(u[i], u[j])]
-
-    def col_sub(i, j, q):
-        if q:
-            for row in s:
-                row[i] -= q * row[j]
-            for row in v:
-                row[i] -= q * row[j]
-
-    def swap_rows(i, j):
-        if i != j:
-            s[i], s[j] = s[j], s[i]
-            u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        if i != j:
-            for row in s:
-                row[i], row[j] = row[j], row[i]
-            for row in v:
-                row[i], row[j] = row[j], row[i]
-
-    t = 0
+    t = [[*row, *e] for row, e in zip(a, identity(m))] + [[*e, *[0] * m] for e in identity(n)]
     while True:
-        pivot = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if s[i][j] != 0 and (best is None or abs(s[i][j]) < best):
-                    best = abs(s[i][j])
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        while True:
-            dirty = False
-            for i in range(t + 1, m):
-                if s[i][t] != 0:
-                    q = s[i][t] // s[t][t]
-                    row_sub(i, t, q)
-                    if s[i][t] != 0:
-                        swap_rows(t, i)
-                    dirty = True
-            for j in range(t + 1, n):
-                if s[t][j] != 0:
-                    q = s[t][j] // s[t][t]
-                    col_sub(j, t, q)
-                    if s[t][j] != 0:
-                        swap_cols(t, j)
-                    dirty = True
-            if not dirty:
-                break
-        # divisibility fix-up: s[t][t] must divide everything below-right
-        fixed = True
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if s[i][j] % s[t][t] != 0:
-                    s[t] = [x + y for x, y in zip(s[t], s[i])]
-                    u[t] = [x + y for x, y in zip(u[t], u[i])]
-                    fixed = False
-                    break
-            if not fixed:
-                break
-        if not fixed:
+        for k, width in ((m, n), (n, m)):
+            head = t[:k]
+            _hermite(head, width)
+            t = [list(col) for col in zip(*head, *t[k:])]
+        if any(t[i][j] for i in range(m) for j in range(n) if i != j):
             continue
-        if s[t][t] < 0:
-            s[t] = [-x for x in s[t]]
-            u[t] = [-x for x in u[t]]
-        t += 1
-        if t == min(m, n):
-            break
-    return mat(s), mat(u), mat(v)
+        diag = [t[i][i] for i in range(min(m, n)) if t[i][i]]
+        i = next((i for i in range(len(diag) - 1) if diag[i + 1] % diag[i]), None)
+        if i is None:
+            return (tuple([tuple(row[:n]) for row in t[:m]]),
+                    tuple([tuple(row[n:]) for row in t[:m]]),
+                    tuple([tuple(row[:n]) for row in t[m:]]))
+        for row in t:
+            row[i] += row[i + 1]
 
 
 def cokernel(a):
@@ -241,13 +192,18 @@ def cokernel(a):
 
     Returns ``(free_rank, torsion, classes)``: ``torsion`` holds the
     invariant factors above 1, and ``classes[i]`` is the class of e_i as
-    (free coordinates, torsion residues).  With U.a.V == S the Smith form,
-    x -> U.x carries the column span of ``a`` onto that of S, so the class
-    of e_i is column i of U read modulo the diagonal of S.
+    (free coordinates, torsion residues).  The columns of ``a`` are first
+    reduced to their Hermite basis (no transform kept), an m x r matrix B
+    with the same column span and r <= m.  With U.B.V == S the Smith form,
+    x -> U.x carries that span onto the column span of S, so the class of
+    e_i is column i of U read modulo the diagonal of S.
     """
-    s, u, _v = snf(a)
-    diag = [s[i][i] for i in range(min(len(s), len(s[0])))]
-    r = sum(1 for d in diag if d)  # the nonzero entries lead the diagonal
+    a = mat(a)
+    m = len(a)
+    cols = [list(col) for col in zip(*a)]
+    r = _hermite(cols, m)
+    s, u, _v = snf([[col[i] for col in cols[:r]] for i in range(m)])
+    diag = [s[i][i] for i in range(r)]  # B has full column rank r
     tors = [i for i in range(r) if diag[i] >= 2]
     classes = tuple([(col[r:], tuple([col[i] % diag[i] for i in tors])) for col in zip(*u)])
     return len(s) - r, tuple([diag[i] for i in tors]), classes

@@ -50,20 +50,12 @@ class AffineMonoid:
         if any(la.is_zero_vec(g) for g in gens):
             raise ValueError("zero generator")
         self.generators = gens
-        if group_basis is None:
-            basis = _generated_group(gens)
-        else:
-            basis = la.mat(group_basis)
-            if la.rank(basis) != len(basis):
-                raise ValueError("group basis rows must be independent")
-            for g in gens:
-                if la.lattice_coords(basis, g) is None:
-                    raise ValueError(f"generator {g} lies outside the given group")
-        self.group_basis = basis
-        self.cone = Cone(self.ambient_rank, gens, lattice=basis)
+        # Cone checks the basis rows' independence and each generator's membership
+        self.group_basis = _generated_group(gens) if group_basis is None else la.mat(group_basis)
+        self.cone = Cone(self.ambient_rank, gens, lattice=self.group_basis)
         if not self.cone.pointed:
             raise NonPointedError("monoid has nontrivial units (cone is not pointed)")
-        self._gen_coords = tuple(la.lattice_coords(self.cone.span_basis, g) for g in gens)
+        self._gen_coords = self.cone._gen_coords
 
     def contains(self, v):
         """Exact membership: is v a nonnegative integer combination of
@@ -142,9 +134,10 @@ class DivisorTheory:
             raise ValueError("functional row length must match the group rank")
         if la.rank(self.functionals) != k:
             raise ValueError("functionals must have full rank (injective embedding)")
-        for g in monoid.generators:
-            if any(x < 0 for x in self.image(g)):
-                raise ValueError("a generator has a negative image coordinate")
+        self._images = tuple(tuple(la.dot(f, c) for f in self.functionals)
+                             for c in monoid._gen_coords)
+        if any(x < 0 for im in self._images for x in im):
+            raise ValueError("a generator has a negative image coordinate")
 
     @classmethod
     def from_ambient_functionals(cls, monoid, rows):
@@ -164,7 +157,7 @@ class DivisorTheory:
         return tuple(la.dot(f, c) for f in self.functionals)
 
     def generator_images(self):
-        return tuple(self.image(g) for g in self.monoid.generators)
+        return self._images
 
     def preimage(self, d):
         """The group element mapping to d, or None (the embedding is

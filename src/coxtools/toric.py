@@ -91,11 +91,6 @@ def pullback(cd, u):
     return Poly.monomial(exps)
 
 
-def degree_of_monomial(cd, exponents):
-    """Class-group degree of a monomial in the ray variables."""
-    return cd.cl_group.combination(exponents, cd.var_degrees)
-
-
 def verify_lift(cd, psi_images, phi):
     """Exact check that ``phi`` on the graded ray-variable ring lifts the
     coordinate substitution ``psi`` on the variety.

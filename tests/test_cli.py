@@ -414,6 +414,31 @@ def test_bound_flags_below_minimum_exit_2(argv):
     _assert_malformed(*run_cli([command, str(FIXTURE_DIR / f"{fixture}.json"), *flags]))
 
 
+Q8_PATH = str(FIXTURE_DIR / "quotient-report-q8.json")
+# argv that argparse refuses; -h and --help are no options, so they are too
+USAGE_ERRORS = {
+    "unknown-command": ["bogus", Q8_PATH],
+    "missing-input": ["quotient-report"],
+    "no-arguments": [],
+    "cap-not-an-int": ["quotient-report", Q8_PATH, "--cap", "abc"],
+    "unknown-flag": ["quotient-report", Q8_PATH, "--frob"],
+    "help": ["-h"],
+    "help-after-arguments": ["quotient-report", Q8_PATH, "--help"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(USAGE_ERRORS))
+def test_usage_errors_exit_2_with_one_json_document(name):
+    """In-process, main returns 2 and raises no SystemExit; as a process,
+    the one line on stdout is the same and stderr is empty."""
+    argv = USAGE_ERRORS[name]
+    code, out = run_cli(argv)
+    _assert_malformed(code, out)
+    proc = subprocess.run([sys.executable, "-m", "coxtools.cli", *argv], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=SRC_DIR))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, out, "")
+
+
 @pytest.mark.parametrize("command,fixture", [("check-axioms", "check-axioms-4-6-9")])
 def test_negative_payload_depth_exit_2(tmp_path, command, fixture):
     payload = json.loads((FIXTURE_DIR / f"{fixture}.json").read_text())["payload"]
@@ -494,6 +519,24 @@ def test_huge_hilbert_candidate_space_is_a_domain_error(tmp_path, command, paylo
     assert code == 1 and out.count("\n") == 1
     assert json.loads(out) == {"error": "ValueError",
                                "detail": "Hilbert basis candidate space too large"}
+
+
+def test_cox_data_with_a_deep_smith_form_exits_1_quickly(tmp_path):
+    """Eight rays in rank 6, 200 bytes of JSON: the class group's Smith form
+    stays small, and the dual cone's Hilbert basis is refused at the volume
+    cap.  A cold process answers in well under 2 s."""
+    p = tmp_path / "deep-smith.json"
+    p.write_text(json.dumps({"ambient_rank": 6, "rays": [
+        [-1, 2, 7, -9, 5, 4], [-8, -4, -6, 2, 6, 4], [3, 8, -6, 9, -2, 1], [-3, 4, -1, -4, 3, 3],
+        [-7, -5, 5, -5, -5, 1], [-9, -3, -3, -4, -4, 5], [1, -3, 8, -3, -4, 4],
+        [3, 0, -9, 2, 4, 3]]}))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "coxtools.cli", "cox-data", str(p)],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC_DIR))
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == 1 and proc.stdout.count("\n") == 1
+    assert json.loads(proc.stdout) == {"error": "ValueError",
+                                       "detail": "Hilbert basis candidate space too large"}
 
 
 def test_depth_flag_respected(tmp_path):

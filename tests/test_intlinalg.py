@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -276,6 +277,227 @@ def test_lattice_coords_on_and_off_the_lattice():
                 assert la.lattice_coords(a, e) is None
                 off_span += 1
     assert off_span
+
+
+# -- Smith forms past the small sizes -----------------------------------------------
+
+# det 727272: its Smith form needs Euclid steps deep inside the matrix
+DENSE_6 = [[9, 2, 0, -6, -3, 3], [-11, 0, -9, 2, 0, 2], [-1, 5, -12, 12, 11, 11],
+           [-9, 1, 5, -1, 0, 8], [11, -4, -10, -12, 0, 0], [-7, 0, 9, 11, 0, -2]]
+
+
+def test_snf_of_dense_matrices_matches_sympy_quickly():
+    """Dense 6x6 to 8x8 matrices with entries up to 12 in absolute value:
+    the invariant factors are sympy's, U.a.V == S, and every Smith form
+    takes well under 50 ms, since each pass leaves its entries reduced."""
+    rng = random.Random(14)
+    mats = [DENSE_6] + [[[rng.randint(-12, 12) for _ in range(n)] for _ in range(n)]
+                        for n in (6, 7, 8) for _ in range(4)]
+    for a in mats:
+        start = time.perf_counter()
+        s, u, v = la.snf(a)
+        assert time.perf_counter() - start < 0.05
+        assert [list(row) for row in s] == smith_normal_form(sympy.Matrix(a)).tolist()
+        assert la.mat_mul(la.mat_mul(u, a), v) == s
+        assert abs(la.det_int(u)) == abs(la.det_int(v)) == 1
+    assert la.snf(DENSE_6)[0][5][5] == 727272
+
+
+# -- the normal forms before they shared the Hermite kernel ------------------------
+# Verbatim copies (module names prefixed) of hnf, snf and cokernel as they
+# were when snf ran its own pivot search and Euclid loop.  hnf must give
+# the same (H, U); Smith transforms are not unique, so snf must give the
+# same S, and cox_data the same degrees up to an automorphism of Cl.
+
+def _reference_hnf(a):
+    a = la.mat(a)
+    if not a:
+        raise ValueError("empty matrix")
+    m, n = len(a), len(a[0])
+    h = [list(r) for r in a]
+    u = [list(r) for r in la.identity(m)]
+
+    def row_sub(i, j, q):
+        if q:
+            h[i] = [x - q * y for x, y in zip(h[i], h[j])]
+            u[i] = [x - q * y for x, y in zip(u[i], u[j])]
+
+    r = 0
+    for c in range(n):
+        rows = [i for i in range(r, m) if h[i][c] != 0]
+        if not rows:
+            continue
+        while len(rows) > 1:
+            i0 = min(rows, key=lambda i: abs(h[i][c]))
+            for i in rows:
+                if i != i0:
+                    row_sub(i, i0, h[i][c] // h[i0][c])
+            rows = [i for i in range(r, m) if h[i][c] != 0]
+        i0 = rows[0]
+        if i0 != r:
+            h[r], h[i0] = h[i0], h[r]
+            u[r], u[i0] = u[i0], u[r]
+        if h[r][c] < 0:
+            h[r] = [-x for x in h[r]]
+            u[r] = [-x for x in u[r]]
+        for i in range(r):
+            row_sub(i, r, h[i][c] // h[r][c])
+        r += 1
+        if r == m:
+            break
+    return la.mat(h), la.mat(u)
+
+
+def _reference_snf(a):
+    a = la.mat(a)
+    if not a:
+        raise ValueError("empty matrix")
+    m, n = len(a), len(a[0])
+    s = [list(r) for r in a]
+    u = [list(r) for r in la.identity(m)]
+    v = [list(r) for r in la.identity(n)]
+
+    def row_sub(i, j, q):
+        if q:
+            s[i] = [x - q * y for x, y in zip(s[i], s[j])]
+            u[i] = [x - q * y for x, y in zip(u[i], u[j])]
+
+    def col_sub(i, j, q):
+        if q:
+            for row in s:
+                row[i] -= q * row[j]
+            for row in v:
+                row[i] -= q * row[j]
+
+    def swap_rows(i, j):
+        if i != j:
+            s[i], s[j] = s[j], s[i]
+            u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        if i != j:
+            for row in s:
+                row[i], row[j] = row[j], row[i]
+            for row in v:
+                row[i], row[j] = row[j], row[i]
+
+    t = 0
+    while True:
+        pivot = None
+        best = None
+        for i in range(t, m):
+            for j in range(t, n):
+                if s[i][j] != 0 and (best is None or abs(s[i][j]) < best):
+                    best = abs(s[i][j])
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        swap_rows(t, pivot[0])
+        swap_cols(t, pivot[1])
+        while True:
+            dirty = False
+            for i in range(t + 1, m):
+                if s[i][t] != 0:
+                    q = s[i][t] // s[t][t]
+                    row_sub(i, t, q)
+                    if s[i][t] != 0:
+                        swap_rows(t, i)
+                    dirty = True
+            for j in range(t + 1, n):
+                if s[t][j] != 0:
+                    q = s[t][j] // s[t][t]
+                    col_sub(j, t, q)
+                    if s[t][j] != 0:
+                        swap_cols(t, j)
+                    dirty = True
+            if not dirty:
+                break
+        # divisibility fix-up: s[t][t] must divide everything below-right
+        fixed = True
+        for i in range(t + 1, m):
+            for j in range(t + 1, n):
+                if s[i][j] % s[t][t] != 0:
+                    s[t] = [x + y for x, y in zip(s[t], s[i])]
+                    u[t] = [x + y for x, y in zip(u[t], u[i])]
+                    fixed = False
+                    break
+            if not fixed:
+                break
+        if not fixed:
+            continue
+        if s[t][t] < 0:
+            s[t] = [-x for x in s[t]]
+            u[t] = [-x for x in u[t]]
+        t += 1
+        if t == min(m, n):
+            break
+    return la.mat(s), la.mat(u), la.mat(v)
+
+
+def _reference_cokernel(a):
+    s, u, _v = _reference_snf(a)
+    diag = [s[i][i] for i in range(min(len(s), len(s[0])))]
+    r = sum(1 for d in diag if d)  # the nonzero entries lead the diagonal
+    tors = [i for i in range(r) if diag[i] >= 2]
+    classes = tuple([(col[r:], tuple([col[i] % diag[i] for i in tors])) for col in zip(*u)])
+    return len(s) - r, tuple([diag[i] for i in tors]), classes
+
+
+def test_hnf_matches_the_reference():
+    """(H, U) is exactly the reference's, on 1200 seeded matrices up to 6x6
+    with entries up to 9, a third of them singular by construction."""
+    rng = random.Random(15)
+    for k in range(1200):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        a = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+        if k % 3 == 1 and m > 1:
+            a[-1] = [x - y for x, y in zip(a[0], a[1])]
+        assert la.hnf(a) == _reference_hnf(a)
+
+
+def test_snf_keeps_the_reference_invariants():
+    """On small matrices, where the reference's entries stay small, S is the
+    reference's S and U.a.V == S with U, V unimodular; the saturation basis
+    read off V spans the lattice the reference's V gives."""
+    for a in _random_matrices(16, count=300):
+        s, u, v = la.snf(a)
+        ref_s, _ref_u, ref_v = _reference_snf(a)
+        assert s == ref_s
+        assert la.mat_mul(la.mat_mul(u, a), v) == s
+        assert abs(la.det_int(u)) == abs(la.det_int(v)) == 1
+        assert la.cokernel(a)[:2] == _reference_cokernel(a)[:2]
+        rank = sum(1 for i in range(min(len(s), len(s[0]))) if s[i][i])
+        sat, ref = la.saturation_basis(a), la.inverse_int(ref_v)[:rank]
+        assert len(sat) == rank
+        assert all(la.lattice_coords(ref, x) is not None for x in sat)
+        assert all(la.lattice_coords(sat, x) is not None for x in ref)
+
+
+def test_cox_data_degrees_match_the_reference_up_to_an_automorphism(monkeypatch):
+    """On moment cones (1, a, a^2) moved by seeded unimodular maps, Cl is the
+    reference's, and some automorphism of Cl carries the reference's degrees
+    onto today's; on several cones the two presentations differ."""
+    from coxtools.cones import Cone
+    from coxtools.gradings import _degree_automorphism
+    from coxtools.toric import cox_data
+    rng = random.Random(17)
+    changed = 0
+    for _ in range(20):
+        u = [list(row) for row in la.identity(3)]
+        for _step in range(6):  # elementary row operations: det u == 1
+            i, j = rng.sample(range(3), 2)
+            k = rng.choice((-1, 1))
+            u[i] = [x + k * y for x, y in zip(u[i], u[j])]
+        cone = Cone(3, [la.vec_mat((1, a, a * a), u) for a in range(rng.randint(4, 6))])
+        new = cox_data(cone)
+        with monkeypatch.context() as patch:
+            patch.setattr(la, "cokernel", _reference_cokernel)
+            old = cox_data(cone)
+        assert old.cl_group == new.cl_group
+        pairs = list(zip(old.var_degrees, new.var_degrees))
+        assert _degree_automorphism(new.cl_group, pairs) is not None
+        changed += old.var_degrees != new.var_degrees
+    assert changed >= 3
 
 
 # -- compositions ----------------------------------------------------------------

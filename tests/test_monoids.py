@@ -50,6 +50,30 @@ def test_divisor_theory_and_its_axioms_triangulate_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_group_basis_is_checked_by_the_cone():
+    with pytest.raises(ValueError, match="independent"):
+        AffineMonoid(2, [(2, 0), (0, 2)], group_basis=[[2, 0], [4, 0]])
+    with pytest.raises(ValueError, match=r"generator \(1, 1\) is not in the lattice"):
+        AffineMonoid(2, [(2, 0), (1, 1)], group_basis=[[2, 0], [0, 2]])
+
+
+def test_one_coordinate_solve_per_generator(monkeypatch):
+    """AffineMonoid, divisor_theory and verify_divisor_axioms on the
+    hb-moment3-4 monoid (8 generators) solve each generator's coordinates
+    once, in Cone: not at all in ZZ^3, and once each in 2 ZZ^3."""
+    from coxtools import intlinalg as la
+    gens = hilbert_basis(Cone(3, [(1, a, a * a) for a in range(4)]))
+    assert len(gens) == 8
+    solve, calls = la.lattice_coords, []
+    monkeypatch.setattr(la, "lattice_coords", lambda *a: calls.append(a) or solve(*a))
+    for scale, solves in ((1, 0), (2, 8)):
+        calls.clear()
+        dt = divisor_theory(AffineMonoid(3, [la.vec_scale(g, scale) for g in gens]))
+        assert verify_divisor_axioms(dt, 4).ok
+        assert len(calls) == solves
+        assert dt.generator_images() == tuple(dt.image(g) for g in dt.monoid.generators)
+
+
 def test_saturation_inside_own_group():
     # inside its own (derived) group the same monoid is saturated
     m = AffineMonoid(2, [(2, 0), (0, 1)])
