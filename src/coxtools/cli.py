@@ -337,8 +337,11 @@ def cmd_cox_data(doc, args):
 
 def cmd_pullback(doc, args):
     from .toric import cox_data, pullback
-    cd = cox_data(_decode_cone(_require(doc, "cone")))
+    c = _decode_cone(_require(doc, "cone"))
     u = _int_vector(_require(doc, "character"))
+    if len(u) != c.ambient_rank:
+        raise InputError(f"expected a character of length {c.ambient_rank}")
+    cd = cox_data(c)
     return {"monomial": pullback(cd, u).render()}
 
 
@@ -367,7 +370,7 @@ def cmd_compose(doc, args):
         raise InputError("compose needs at least one map")
     if any(len(m) != n for m in maps):
         raise InputError("each map needs one image per variable")
-    result = compose_chain([PolyMap(tuple(m), source_vars=n) for m in maps])
+    result = compose_chain([PolyMap(tuple(m)) for m in maps])
     return {"images": [p.render(names) for p in result.images]}
 
 
@@ -378,7 +381,7 @@ def cmd_jacobian(doc, args):
         raise InputError("a map needs at least one image")
     n = len(images)
     names = _var_names(doc, n)
-    m = PolyMap(tuple(_polys(images, names)), source_vars=n)
+    m = PolyMap(tuple(_polys(images, names)))
     jac = jacobian(m)
     return {
         "matrix": [[p.render(names) for p in row] for row in jac],

@@ -9,14 +9,13 @@ extreme rays, and sorted lexicographically.
 All cone computations happen in coordinates of the saturated sublattice
 ``L ∩ span(rays)``, so non-full-dimensional input is handled by
 restricting to its span first.  Facet normals come from an integer double
-description whose adjacency test is combinatorial: every ray carries its
-tight set, the facets (or halfspaces so far) vanishing on it, and a
-generator spans an extreme ray exactly when no other generator's tight
-set contains its own, so no rank test decides extremality.  Hilbert bases
-come from the parallelepipeds of one pulling triangulation, built from
-the facets' tight sets, and are reduced by comparing facet values, each
-candidate only against the basis elements of at most half its value sum.
-A Cone is immutable and keeps its Hilbert basis once computed.
+description with the combinatorial adjacency test.  Every ray carries its
+tight set, the facets (or halfspaces so far) vanishing on it, and tight
+sets decide pointedness, extremality and the faces of the one pulling
+triangulation whose parallelepipeds give the Hilbert basis candidates, so
+no rank test decides a face.  Candidates are reduced by comparing facet
+values, each only against the basis elements of at most half its value
+sum.  A Cone is immutable and keeps its Hilbert basis once computed.
 """
 
 import bisect
@@ -65,16 +64,13 @@ def _dual_extreme_rays(normals, dim):
     contains the pair's common one Z (so |Z| >= dim - 2); the joins are
     the new extreme rays, so no ray is ever tested or deduplicated.
     """
-    # pick dim independent normals for the simplicial seed
-    seed = []
-    rest = []
-    for n in normals:
-        if len(seed) < dim and la.rank(seed + [n]) == len(seed) + 1:
-            seed.append(n)
-        else:
-            rest.append(n)
-    if len(seed) < dim:
+    # the simplicial seed: the first dim independent normals, which are the
+    # pivot columns of the normals written as columns
+    pivots = la.bareiss([list(col) for col in zip(*normals)])[1]
+    if len(pivots) < dim:
         raise NotFullDimensionalError("normals do not span the space")
+    seed = [normals[i] for i in pivots]
+    rest = [n for i, n in enumerate(normals) if i not in pivots]
 
     # {x : B x >= 0} for invertible B is spanned by the columns of
     # B^{-1} = adj / det, positive multiples of the columns of sign(det) adj;
@@ -151,13 +147,13 @@ class Cone:
 
         kept = list(dict.fromkeys(la.primitive(c) for c in sub))
         dual = _dual_extreme_rays(kept, dim)
-        self.pointed = la.rank(dual) == dim if dual else dim == 0
         self._dual = dual
-
+        tight = [frozenset(i for i, d in enumerate(dual) if la.dot(d, c) == 0) for c in kept]
+        # the lineality space, the face on every facet, is spanned by the
+        # generators in it; c spans an extreme ray of a pointed cone exactly
+        # when no other generator lies on every facet that c lies on
+        self.pointed = all(len(t) < len(dual) for t in tight)
         if self.pointed:
-            # c spans an extreme ray exactly when no other generator lies on
-            # every facet that c lies on
-            tight = [frozenset(i for i, d in enumerate(dual) if la.dot(d, c) == 0) for c in kept]
             kept = [c for c, t in zip(kept, tight) if sum(t <= u for u in tight) == 1]
         pairs = sorted((la.vec_mat(c, self.span_basis), c) for c in kept)
         self.rays = tuple(p[0] for p in pairs)
@@ -198,12 +194,18 @@ def dual_cone(c):
     The result is a Cone of ambient rank ``c.dim`` over the standard
     lattice; its rays are the facet normals of ``c`` written in the basis
     dual to ``c.span_basis``.  For a full-dimensional cone over the
-    standard lattice these are honest integer covectors on ZZ^n.
+    standard lattice these are honest integer covectors on ZZ^n.  Its facet
+    normals are c's rays written on ``c.span_basis``: no double description.
     """
     c._require_pointed()
     if c.dim == 0:
         raise NonPointedError("dual of the zero cone is not pointed")
-    return Cone(c.dim, c._dual)
+    d = object.__new__(Cone)
+    d.ambient_rank, d.pointed = c.dim, True
+    d.lattice = d.span_basis = la.identity(c.dim)
+    d.rays = d._coords = d._gen_coords = c._dual
+    d._dual = tuple(sorted(c._coords))
+    return d
 
 
 def cone_contains(c, v):
@@ -248,11 +250,11 @@ def _pulling_triangulation(rays, dual):
 
     A face F is triangulated by pulling its lowest-index ray v: v is coned
     over the simplices of every facet of F that misses v.  The facets of F
-    are the sets F ∩ tight(d) whose rays have rank rank(F) - 1, and a face
-    with as many rays as its rank is a simplex.  Each face is pulled at its
-    own lowest ray, so a face shared by two facets is triangulated alike in
-    both and the simplices fit together (De Loera-Rambau-Santos,
-    *Triangulations*, 2010, section 4.3).
+    are the maximal sets F ∩ tight(d) over the facets d with F ⊄ tight(d),
+    and a face with as many rays as its rank is a simplex.  Each face is
+    pulled at its own lowest ray, so a face shared by two facets is
+    triangulated alike in both and the simplices fit together
+    (De Loera-Rambau-Santos, *Triangulations*, 2010, section 4.3).
     """
     tight = [frozenset(i for i, r in enumerate(rays) if la.dot(d, r) == 0) for d in dual]
 
@@ -261,9 +263,9 @@ def _pulling_triangulation(rays, dual):
         if len(face) == rank:
             return [tuple(sorted(face))]
         v = min(face)
-        facets = {face & t for t in tight if v not in t}
-        return [(v, *s) for g in sorted(facets, key=sorted)
-                if la.rank([rays[i] for i in g]) == rank - 1 for s in pull(g, rank - 1)]
+        faces = {face & t for t in tight if not face <= t}
+        facets = [g for g in faces if v not in g and not any(g < h for h in faces)]
+        return [(v, *s) for g in sorted(facets, key=sorted) for s in pull(g, rank - 1)]
 
     return pull(frozenset(range(len(rays))), len(rays[0]))
 
@@ -287,10 +289,12 @@ def hilbert_basis(c):
     coords, dual = c._coords, c._dual
     if c.dim == 0 or not coords:
         return ()
-    boxes = [(rows, *la.adjugate(rows)) for rows in
-             ([coords[i] for i in s] for s in _pulling_triangulation(coords, dual))]
-    if sum(abs(det) for _rows, det, _adj in boxes) > _VOLUME_CAP:
-        raise ValueError("Hilbert basis candidate space too large")
+    boxes, volume = [], 0
+    for rows in ([coords[i] for i in s] for s in _pulling_triangulation(coords, dual)):
+        boxes.append((rows, *la.adjugate(rows)))
+        volume += abs(boxes[-1][1])
+        if volume > _VOLUME_CAP:
+            raise ValueError("Hilbert basis candidate space too large")
     candidates = set(coords)
     for box in boxes:
         candidates.update(_parallelepiped_points(*box))

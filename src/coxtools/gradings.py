@@ -198,7 +198,6 @@ class GradedEndo:
 class NormalizationResult:
     kind: str  # "preserves" | "normalizes" | "neither"
     phi0: DegreeEndo = None
-    witness: str = ""
 
 
 _CANDIDATE_CAP = 20000
@@ -296,8 +295,7 @@ def check_normalizes(e):
         return NormalizationResult("preserves", _identity_endo(ring.group))
     phi0 = _degree_automorphism(ring.group, pairs)
     if phi0 is None:
-        return NormalizationResult(
-            "neither", None, "no group automorphism matches the induced degree assignment")
+        return NormalizationResult("neither")
     return NormalizationResult("normalizes", phi0)
 
 

@@ -383,8 +383,8 @@ def extend_embedding(dt, alpha):
 
     - a generator with image zero is reported with the unit.
     - injectivity: alpha is injective on M exactly when it is on G, when
-      A has full column rank.  Else x is the primitive kernel element of
-      the first nullspace vector, reported as (x + b, b) with b the first
+      A has no kernel.  Else x is the primitive kernel element of the
+      first nullspace vector, reported as (x + b, b) with b the first
       generator that puts x + b in M, else the least positive multiple
       of the generators' sum that does.
     - (*): alpha being injective, alpha(a) - alpha(b) = alpha(a - b), so
@@ -410,8 +410,9 @@ def extend_embedding(dt, alpha):
 
     basis = dt.lattice_basis
     rows = la.transpose([alpha.image(b) for b in basis])
-    if la.rank(rows) < len(basis):
-        y = la.nullspace(rows)[0]
+    kernel = la.nullspace(rows)
+    if kernel:
+        y = kernel[0]
         d = lcm(*(c.denominator for c in y))
         return NotAnEmbedding(*_lift(dt, la.vec_mat(la.primitive([int(c * d) for c in y]), basis)))
     x = _first_point_outside(dt.monoid, rows, basis)

@@ -241,14 +241,12 @@ class PolyMap:
 
     __slots__ = ("source_vars", "target_vars", "images")
 
-    def __init__(self, images, source_vars=None):
+    def __init__(self, images):
         images = tuple(images)
         if not images:
             raise ValueError("a map needs at least one image")
         self.images = images
-        self.source_vars = len(images) if source_vars is None else int(source_vars)
-        if self.source_vars != len(images):
-            raise ValueError("one image per source variable required")
+        self.source_vars = len(images)
         self.target_vars = images[0].num_vars
         if any(p.num_vars != self.target_vars for p in images):
             raise ValueError("images must share a variable count")
@@ -302,7 +300,7 @@ def compose(f, g):
     """The map v -> f(g(v)): g's images substituted into f's."""
     if f.target_vars != g.source_vars:
         raise ValueError("composition dimension mismatch")
-    return PolyMap(tuple(substitute(p, g) for p in f.images), source_vars=f.source_vars)
+    return PolyMap(tuple(substitute(p, g) for p in f.images))
 
 
 def compose_chain(maps):
@@ -532,4 +530,4 @@ def parse_poly(text, var_names):
 def parse_map(texts, var_names, target_var_names=None):
     """Parse one polynomial per source variable into a PolyMap."""
     target = target_var_names or var_names
-    return PolyMap(tuple(parse_poly(t, target) for t in texts), source_vars=len(texts))
+    return PolyMap(tuple(parse_poly(t, target) for t in texts))

@@ -53,8 +53,7 @@ class CoxData:
     @cached_property
     def pullback_map(self):
         """Substitution sending coordinate j to its pullback monomial."""
-        return PolyMap(tuple(pullback(self, u) for u in self.characters),
-                       source_vars=len(self.characters))
+        return PolyMap(tuple(pullback(self, u) for u in self.characters))
 
 
 def cox_data(c):
@@ -123,7 +122,7 @@ def respects_relations(cd, psi_images, relations):
     """Check psi against relation polynomials of the coordinate ring:
     each relation must pull back to the zero polynomial after psi."""
     pull = cd.pullback_map
-    psi = PolyMap(tuple(psi_images), source_vars=len(psi_images))
+    psi = PolyMap(tuple(psi_images))
     for rel in relations:
         if not substitute(substitute(rel, psi), pull).is_zero():
             return False

@@ -281,6 +281,11 @@ PLANE_LIFT = {"cone": {"ambient_rank": 2, "rays": [[1, 0], [0, 1]]},
     ("divisor-theory", {"ambient_rank": 2, "generators": [[1, 0, 0]]}),
     ("saturate", {"ambient_rank": 2, "generators": [[1, 0]], "group_basis": [[1, 0, 0]]}),
     ("cox-data", {"ambient_rank": 2, "rays": [[1, 0], [1]]}),
+    # a character as long as the cone's ambient rank; a wrong length used to
+    # exit 1 with DimensionMismatchError
+    ("pullback", {"cone": {"ambient_rank": 2, "rays": [[1, 0], [0, 1]]}, "character": [1]}),
+    ("pullback", {"cone": {"ambient_rank": 2, "rays": [[1, 0], [0, 1]]},
+                  "character": [1, 0, 0]}),
     ("cox-data", {"ambient_rank": 2, "rays": [[1, 0]], "lattice": [[1, 0, 0], [0, 1, 0]]}),
     ("check-axioms", {"monoid": {"ambient_rank": 2, "generators": [[1, 0], [0, 1]]},
                       "ambient_functionals": [[1, 0, 0], [0, 1, 0]]}),
@@ -530,6 +535,24 @@ def test_cox_data_with_a_deep_smith_form_exits_1_quickly(tmp_path):
         [-1, 2, 7, -9, 5, 4], [-8, -4, -6, 2, 6, 4], [3, 8, -6, 9, -2, 1], [-3, 4, -1, -4, 3, 3],
         [-7, -5, 5, -5, -5, 1], [-9, -3, -3, -4, -4, 5], [1, -3, 8, -3, -4, 4],
         [3, 0, -9, 2, 4, 3]]}))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "coxtools.cli", "cox-data", str(p)],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC_DIR))
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == 1 and proc.stdout.count("\n") == 1
+    assert json.loads(proc.stdout) == {"error": "ValueError",
+                                       "detail": "Hilbert basis candidate space too large"}
+
+
+def test_cox_data_with_a_large_dual_exits_1_quickly(tmp_path):
+    """The 20 moment rays (1, a, ..., a^7) in rank 8, 1 KB of JSON: the dual
+    cone has 1120 rays and a pulling triangulation of 68525 simplices.  The
+    volume cap is checked per simplex, and the first one passes it; taking
+    every simplex's adjugate before the check takes about 23 s.  A cold
+    process answers in well under 2 s."""
+    p = tmp_path / "moment-20.json"
+    p.write_text(json.dumps({"ambient_rank": 8, "rays": [[a ** k for k in range(8)]
+                                                         for a in range(20)]}))
     start = time.perf_counter()
     proc = subprocess.run([sys.executable, "-m", "coxtools.cli", "cox-data", str(p)],
                           capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC_DIR))

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import operator
@@ -322,6 +323,21 @@ def test_volume_cap_bounds_the_summed_simplex_volumes(monkeypatch):
         hilbert_basis(Cone(2, [(1, 0), (1, 101)]))
 
 
+def test_volume_cap_is_checked_per_simplex(monkeypatch):
+    """The summed volume is checked as each simplex's adjugate comes in, so
+    a cap that the first simplex passes costs one adjugate, not one per
+    simplex."""
+    c = Cone(3, [(1, a, a * a) for a in range(8)])
+    assert len(_pulling_triangulation(c._coords, c._dual)) == 6
+    calls = []
+    adjugate = la.adjugate
+    monkeypatch.setattr(la, "adjugate", lambda a: calls.append(1) or adjugate(a))
+    monkeypatch.setattr(cones_module, "_VOLUME_CAP", 0)
+    with pytest.raises(ValueError, match="candidate space too large"):
+        hilbert_basis(c)
+    assert len(calls) == 1
+
+
 def test_cone_hash_agrees_with_equality():
     c = Cone(2, [(1, 0), (1, 2)])
     d = Cone(2, [(2, 4), (3, 0), (1, 1)])
@@ -381,15 +397,10 @@ def _reference_is_extreme(r, normals, dim):
     return la.rank([n for n in normals if la.dot(n, r) == 0]) == dim - 1
 
 
-def _reference_dual_extreme_rays(normals, dim):
-    """The rank-test double description, kept as a test oracle.
-
-    Extreme rays of {x : n.x >= 0 for all n}, assuming the normals span.
-
-    Incremental double description: seed with a simplicial cone cut out
-    by ``dim`` independent normals, then clip by the remaining halfspaces,
-    keeping only extreme rays (tight-set rank dim-1) after each step.
-    """
+def _reference_seed(normals, dim):
+    """The seed loop of the rank-test double description, kept as a test
+    oracle: ``(seed, rest)``, the first ``dim`` independent normals found
+    with one rank test per normal, and the others."""
     # pick dim independent normals for the simplicial seed
     seed = []
     rest = []
@@ -400,6 +411,19 @@ def _reference_dual_extreme_rays(normals, dim):
             rest.append(n)
     if len(seed) < dim:
         raise NotFullDimensionalError("normals do not span the space")
+    return seed, rest
+
+
+def _reference_dual_extreme_rays(normals, dim):
+    """The rank-test double description, kept as a test oracle.
+
+    Extreme rays of {x : n.x >= 0 for all n}, assuming the normals span.
+
+    Incremental double description: seed with a simplicial cone cut out
+    by ``dim`` independent normals, then clip by the remaining halfspaces,
+    keeping only extreme rays (tight-set rank dim-1) after each step.
+    """
+    seed, rest = _reference_seed(normals, dim)
 
     # {x : B x >= 0} for invertible B is spanned by the columns of
     # B^{-1} = adj / det, positive multiples of the columns of sign(det) adj
@@ -540,12 +564,110 @@ def test_double_description_matches_the_rank_test_reference():
 
 
 def test_moment_cone_rank_calls(monkeypatch):
-    """Building the 24-ray moment cone calls ``intlinalg.rank`` for the span
-    test, the seed choice and the pointedness check, and for no candidate
-    ray or generator: 5 calls, where the rank-test construction makes one
-    per candidate and one per generator."""
+    """Building the 24-ray moment cone calls ``intlinalg.rank`` once, for the
+    span test: the seed normals are the pivot columns of one elimination,
+    and tight sets decide pointedness and extremality, where the rank-test
+    construction makes one call per seed normal, candidate and generator."""
     calls = []
     rank = la.rank
     monkeypatch.setattr(la, "rank", lambda a: calls.append(len(a)) or rank(a))
     Cone(3, [(1, a, a * a) for a in range(24)])
-    assert calls == [24, 1, 2, 3, 24]
+    assert calls == [24]
+
+
+# -- tight sets against the rank tests, and the dual read off its cone ---------
+
+def _reference_pulling_triangulation(rays, dual):
+    """The rank-test pulling triangulation, kept as a test oracle.
+
+    Simplices of the pulling triangulation of a full-dimensional pointed
+    cone, as sorted tuples of indices into ``rays`` (its extreme rays; the
+    rows of ``dual`` are its facet normals).
+
+    A face F is triangulated by pulling its lowest-index ray v: v is coned
+    over the simplices of every facet of F that misses v.  The facets of F
+    are the sets F ∩ tight(d) whose rays have rank rank(F) - 1, and a face
+    with as many rays as its rank is a simplex.  Each face is pulled at its
+    own lowest ray, so a face shared by two facets is triangulated alike in
+    both and the simplices fit together (De Loera-Rambau-Santos,
+    *Triangulations*, 2010, section 4.3).
+    """
+    tight = [frozenset(i for i, r in enumerate(rays) if la.dot(d, r) == 0) for d in dual]
+
+    @functools.cache
+    def pull(face, rank):
+        if len(face) == rank:
+            return [tuple(sorted(face))]
+        v = min(face)
+        facets = {face & t for t in tight if v not in t}
+        return [(v, *s) for g in sorted(facets, key=sorted)
+                if la.rank([rays[i] for i in g]) == rank - 1 for s in pull(g, rank - 1)]
+
+    return pull(frozenset(range(len(rays))), len(rays[0]))
+
+
+def test_tight_sets_match_the_rank_tests(monkeypatch):
+    """On 500 seeded cones in ZZ^2..ZZ^5, pointed or not, and the cones
+    without a simplicial vertex figure: the double description seeds with
+    the normals the rank-test loop picks, pointedness is the rank test on
+    the facet normals, and the pulling triangulation from maximal tight-set
+    intersections is the rank-test one, simplex for simplex."""
+    seeds = []
+    adjugate = la.adjugate
+    monkeypatch.setattr(la, "adjugate", lambda a: seeds.append(list(a)) or adjugate(a))
+    inputs = _comparison_inputs(16, 500) + _non_simplicial_inputs()
+    cones = [Cone(n, gens, lattice) for n, gens, lattice in inputs]
+    assert {c.pointed for c in cones} == {True, False}
+    assert {c.dim for c in cones} >= {2, 3, 4, 5}
+    triangulated = 0
+    for c in cones:
+        assert c.pointed == (la.rank(c._dual) == c.dim if c._dual else c.dim == 0), c
+        if not c.dim:
+            continue
+        normals = list(dict.fromkeys(la.primitive(x) for x in c._gen_coords))
+        seeds.clear()
+        assert _dual_extreme_rays(normals, c.dim) == _reference_dual_extreme_rays(normals, c.dim)
+        assert seeds[0] == _reference_seed(normals, c.dim)[0], c
+        if c.pointed and c.dim >= 2:
+            assert _pulling_triangulation(c._coords, c._dual) == \
+                _reference_pulling_triangulation(c._coords, c._dual), c
+            triangulated += 1
+    assert triangulated >= 250
+
+
+def _cap_or_basis(c):
+    try:
+        return hilbert_basis(c)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _even(n):
+    """A basis of 2ZZ^n."""
+    return tuple(la.vec_scale(e, 2) for e in la.identity(n))
+
+
+def test_dual_cone_matches_the_double_description(monkeypatch):
+    """``dual_cone`` reads the dual off its cone; on 400 seeded pointed
+    cones, some not full-dimensional, over random lattices and over 2ZZ^n,
+    it equals the cone that the double description builds from the facet
+    normals, and so does its Hilbert basis, or the volume cap's refusal."""
+    monkeypatch.setattr(cones_module, "_VOLUME_CAP", 60)
+    inputs = _comparison_inputs(17, 700) + _non_simplicial_inputs()
+    inputs += [(n, [la.vec_scale(g, 2) for g in gens], _even(n))
+               for n, gens, lattice in inputs[:200] if lattice is None]
+    cones = [c for c in (Cone(*x) for x in inputs) if c.pointed and c.dim]
+    assert len(cones) >= 400
+    assert any(c.dim < c.ambient_rank for c in cones)
+    assert any(c.lattice == _even(c.ambient_rank) for c in cones)
+    capped = 0
+    for c in cones:
+        got, want = dual_cone(c), Cone(c.dim, c._dual)
+        for name in ("ambient_rank", "rays", "_coords", "_gen_coords", "_dual", "span_basis",
+                     "lattice", "pointed"):
+            assert getattr(got, name) == getattr(want, name), (c, name)
+        assert got == want and hash(got) == hash(want)
+        basis = _cap_or_basis(got)
+        assert basis == _cap_or_basis(want), c
+        capped += isinstance(basis, str)
+    assert 0 < capped < len(cones) // 2
