@@ -115,14 +115,6 @@ class Cone:
         self.ambient_rank = ambient_rank
         self.lattice = lattice
 
-        if not gens:
-            self.rays = ()
-            self.span_basis = ()
-            self._coords = ()
-            self._dual = ()
-            self.pointed = True
-            return
-
         # both coordinate solves are skipped when their basis is the identity
         coords = gens
         if lattice != la.identity(ambient_rank):
@@ -136,7 +128,7 @@ class Cone:
             span = la.identity(len(lattice))
             sub = coords
         else:
-            span = la.saturation_basis(coords)
+            span = la.saturation_basis(coords) if coords else ()
             sub = [la.lattice_coords(span, c) for c in coords]
             if None in sub:
                 raise AssertionError("saturation failed to contain a generator")
@@ -214,8 +206,6 @@ def cone_contains(c, v):
     v = la.vec(v)
     if len(v) != c.ambient_rank:
         raise ValueError("dimension mismatch")
-    if not c.rays:
-        return la.is_zero_vec(v)
     x = la.solve(la.transpose(c.span_basis), v)
     return x is not None and _inside(c._dual, x)
 
@@ -287,7 +277,7 @@ def hilbert_basis(c):
     if c._hilbert is not None:
         return c._hilbert
     coords, dual = c._coords, c._dual
-    if c.dim == 0 or not coords:
+    if not coords:
         return ()
     boxes, volume = [], 0
     for rows in ([coords[i] for i in s] for s in _pulling_triangulation(coords, dual)):

@@ -54,8 +54,6 @@ def _poly_divmod(num, den):
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n):
     """Integer coefficients of Phi_n, lowest degree first."""
-    if n == 1:
-        return (-1, 1)
     poly = [-1] + [0] * (n - 1) + [1]  # x^n - 1
     for d in range(1, n):
         if n % d == 0:
@@ -75,9 +73,7 @@ class CycloNum:
         cs = list(coeffs)
         if not all(isinstance(c, (int, Fraction)) for c in cs):
             raise ValueError(f"coefficients must be ints or Fractions, got {cs!r}")
-        cs = [Fraction(c) for c in cs]
-        if len(cs) > deg:
-            cs = _reduce(cs, conductor)
+        cs = _reduce([Fraction(c) for c in cs], conductor)
         cs += [_ZERO] * (deg - len(cs))
         den = lcm(*(c.denominator for c in cs))
         self.conductor = conductor
@@ -113,8 +109,6 @@ class CycloNum:
     @classmethod
     def zeta(cls, conductor):
         """A primitive conductor-th root of unity."""
-        if conductor == 1:
-            return cls(1, (1,))
         return cls(conductor, (0, 1))
 
     def _check(self, other):

@@ -225,8 +225,6 @@ def _free_block(a, pairs):
     r = len(diag)
     if any(x % diag[j] if j < r else x for row in wq for j, x in enumerate(row)):
         return None
-    if r == 0:
-        return p
     s2, p2, q2 = la.snf([[x // d for x, d in zip(row, diag)] for row in wq])
     if any(s2[j][j] != 1 for j in range(r)):
         return False

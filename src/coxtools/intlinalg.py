@@ -296,12 +296,15 @@ def rank(a):
 def solve(a, b):
     """One exact solution x of a.x == b over the rationals, or None.
 
-    ``a`` is an m x n integer or Fraction matrix, ``b`` a length-m vector.
-    If the system is underdetermined an arbitrary (but deterministic)
-    solution is returned; if inconsistent, None.
+    ``a`` is an m x n integer or Fraction matrix, ``b`` a length-m vector
+    (for m > 0 another length raises ValueError).  If the system is
+    underdetermined an arbitrary (but deterministic) solution is returned;
+    if inconsistent, None.
     """
     if not a:
         return () if is_zero_vec(tuple(b)) else None
+    if len(b) != len(a):
+        raise ValueError(f"right-hand side of length {len(b)} for {len(a)} equations")
     n = len(a[0])
     rows, pivots, _ = bareiss(_int_rows([[*row, b[i]] for i, row in enumerate(a)]), n)
     if any(row[n] for row in rows[len(pivots):]):
@@ -349,8 +352,6 @@ def lattice_coords(basis, v):
 
     ``basis`` rows must be linearly independent.
     """
-    if not basis:
-        return () if is_zero_vec(tuple(v)) else None
     x = solve(transpose(basis), v)
     if x is None:
         return None

@@ -294,29 +294,23 @@ class MonoidHom:
     def from_generator_images(cls, monoid, images):
         """Rational matrix sending each generator to its given image
         (vanishing on the orthogonal complement of the group's span).
-        Raises if the images are inconsistent with generator relations.
+        Row r solves ``_gen_coords . y == (entry r of each image)`` on the
+        span coordinates, whose full column rank makes y unique; raises if
+        the images are inconsistent with generator relations.
         """
         images = [la.vec(i) for i in images]
         if len(images) != len(monoid.generators):
             raise ValueError("one image per generator required")
-        target_rank = len(images[0])
-        gens = monoid.generators
-        rows = []
-        for r in range(target_rank):
-            rhs = [im[r] for im in images]
-            sol = la.solve(gens, rhs)
-            if sol is None:
-                raise ValueError("images are inconsistent with generator relations")
-            rows.append(sol)
-        # project each row onto the span of the generators
-        basis = monoid.cone.span_basis
-        hom = cls(_span_covectors(basis, [la.mat_vec(basis, row) for row in rows]))
-        for g, im in zip(gens, images):
-            if hom.image(g) != tuple(im):
-                raise ValueError("images are inconsistent with generator relations")
-        return hom
+        if any(len(im) != len(images[0]) for im in images):
+            raise ValueError("generator images must have equal lengths")
+        rows = [la.solve(monoid._gen_coords, col) for col in zip(*images)]
+        if None in rows:
+            raise ValueError("images are inconsistent with generator relations")
+        return cls(_span_covectors(monoid.cone.span_basis, rows))
 
     def image(self, v):
+        if len(v) != len(self.matrix[0]):
+            raise ValueError(f"vector of length {len(v)} for a map of width {len(self.matrix[0])}")
         out = tuple(sum(row[i] * v[i] for i in range(len(v))) for row in self.matrix)
         if any(x.denominator != 1 for x in out):
             raise ValueError(f"image of {tuple(v)} is not integral")

@@ -254,9 +254,8 @@ def quotient_report(group):
                 cosets.append([right[y][k] for y in members])
                 coset_of.update(dict.fromkeys(cosets[d], d))
                 exps.append(tuple(e + (t == k) for t, e in enumerate(exps[c])))
-            rel = tuple(e + (t == k) - f for t, (e, f) in enumerate(zip(exps[c], exps[d])))
-            if any(rel):
-                relations.add(rel)
+            relations.add(tuple(e + (t == k) - f
+                                for t, (e, f) in enumerate(zip(exps[c], exps[d]))))
     f_order = len(cosets)
     f_abelian = all(coset_of[right[right[0][j]][k]] == coset_of[right[right[0][k]][j]]
                     for j in range(ngens) for k in range(j + 1, ngens))

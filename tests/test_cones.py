@@ -208,6 +208,19 @@ def test_one_dimensional_cones(gens, rays, pointed, dual, hb):
             hilbert_basis(c)
 
 
+@pytest.mark.parametrize("gens,lattice", [([(0, 0)], None), ([], [[1, 1], [0, 2]])], ids=str)
+def test_zero_cone_takes_the_general_path(gens, lattice):
+    """No nonzero generator: an empty span, no facets and a pointed cone
+    holding 0 alone, whose dual is not pointed."""
+    c = Cone(2, gens, lattice)
+    assert (c._gen_coords, c.span_basis, c.rays, c._dual, c.pointed) == ((), (), (), (), True)
+    assert cone_contains(c, (0, 0))
+    assert not any(cone_contains(c, v) for v in [(1, 0), (0, 2), (-1, 1), (1, 1)])
+    assert hilbert_basis(c) == ()
+    with pytest.raises(NonPointedError):
+        dual_cone(c)
+
+
 def _reference_hilbert_basis(c):
     """The all-subsets enumeration, kept as a test oracle."""
     c._require_pointed()

@@ -605,6 +605,15 @@ def test_free_block_agrees_with_a_brute_force_box():
     assert verdicts == {"unimodular": 859, "integer only": 78, "none": 563}
 
 
+@pytest.mark.parametrize("a", [1, 2, 3])
+def test_free_block_with_all_zero_free_parts_is_the_identity(a):
+    """No pair constrains F: the Smith form has rank 0, and the completion
+    of no fixed columns is the identity."""
+    group = AbGroup(a, (2,))
+    u, w = group.element((0,) * a, (1,)), group.element((0,) * a, (0,))
+    assert _free_block(a, [(u, w), (w, u)]) == la.identity(a)
+
+
 def test_oversized_torsion_space_without_a_unimodular_block_is_neither():
     """Free solutions exist but none is unimodular (F = (2)).  The nested
     search raises on the torsion space 16^5, over the cap; the free half is

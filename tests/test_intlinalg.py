@@ -58,6 +58,9 @@ def test_lattice_coords_and_saturation():
     basis = ((1, 1), (0, 2))
     assert la.lattice_coords(basis, (2, 0)) == (2, -1)
     assert la.lattice_coords(basis, (1, 0)) is None
+    # the zero lattice holds the zero vector alone, with no coordinates
+    assert la.lattice_coords((), ()) == la.lattice_coords((), (0, 0)) == ()
+    assert la.lattice_coords((), (0, 1)) is None
     sat = la.saturation_basis([[2, 0], [0, 2]])
     # saturation of an index-4 sublattice of ZZ^2 is all of ZZ^2
     assert la.lattice_coords(sat, (1, 0)) is not None
@@ -70,6 +73,16 @@ def test_solve_and_nullspace():
     assert la.solve([[1, 2], [2, 4]], (3, 7)) is None
     null = la.nullspace([[1, 1, 1]])
     assert len(null) == 2
+
+
+@pytest.mark.parametrize("v", [(2, 0, 5), (2,)], ids=["long", "short"])
+def test_a_right_hand_side_of_the_wrong_length_is_refused(v):
+    """(2, 0, 5) used to be read as (2, 0), and (2,) ended in an IndexError."""
+    basis = ((1, 1), (0, 2))
+    with pytest.raises(ValueError, match="length"):
+        la.solve(la.transpose(basis), v)
+    with pytest.raises(ValueError, match="length"):
+        la.lattice_coords(basis, v)
 
 
 def test_inverse_int_unimodular():

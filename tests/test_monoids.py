@@ -748,6 +748,39 @@ def test_monoid_hom_rejects_ragged_rows():
         MonoidHom([(1, 0), (1,)])
 
 
+@pytest.mark.parametrize("v", [(1,), (1, 0, 0)], ids=["short", "long"])
+def test_monoid_hom_image_refuses_a_vector_of_the_wrong_length(v):
+    """(1,) used to map to (1, 3), as if it were (1, 0), and (1, 0, 0)
+    ended in an IndexError."""
+    with pytest.raises(ValueError, match="width"):
+        MonoidHom([[1, 2], [3, 4]]).image(v)
+
+
+def test_generator_images_must_be_consistent_and_of_equal_lengths(monoid_469):
+    """Images longer than the first were cut to its length, and one shorter
+    than the first raised an IndexError."""
+    with pytest.raises(ValueError, match="equal lengths"):
+        MonoidHom.from_generator_images(monoid_469, [(2, 0, 1), (1, 1), (0, 2, 1)])
+    with pytest.raises(ValueError, match="equal lengths"):
+        MonoidHom.from_generator_images(monoid_469, [(2, 0), (1, 1, 1), (0, 2, 1)])
+    # 4 * 9 == 6 * 6, but the images 1 + 0 and 2 * 1 differ
+    with pytest.raises(ValueError, match="inconsistent"):
+        MonoidHom.from_generator_images(monoid_469, [(1,), (1,), (0,)])
+
+
+@pytest.mark.parametrize("v", [(1, 1, 5), (1,)], ids=["long", "short"])
+def test_vectors_of_the_wrong_length_are_refused(v):
+    """(1, 1, 5) used to be read as (1, 1): contained, with image (1, 1);
+    (1,) ended in an IndexError."""
+    m = AffineMonoid(2, [(2, 0), (1, 1), (0, 2)])
+    dt = divisor_theory(m)
+    assert m.contains((1, 1)) and dt.image((1, 1)) == (1, 1)
+    with pytest.raises(ValueError, match="length"):
+        m.contains(v)
+    with pytest.raises(ValueError, match="length"):
+        dt.image(v)
+
+
 def test_monoid_contains():
     m = AffineMonoid(2, [(2, 0), (1, 1), (0, 2)])
     assert m.contains((3, 1))

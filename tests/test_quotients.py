@@ -77,6 +77,8 @@ def _reference_inverse(self):
 
 def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(1) == (-1, 1)
+    # QQ(zeta_1) is QQ: reducing x modulo Phi_1 = x - 1 gives 1
+    assert CycloNum.zeta(1) == CycloNum(1, (1,))
     assert cyclotomic_polynomial(4) == (1, 0, 1)
     assert cyclotomic_polynomial(3) == (1, 1, 1)
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
