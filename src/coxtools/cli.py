@@ -27,9 +27,11 @@ MAX_CONDUCTOR = 1000
 # reynolds_invariants eliminates sparse rows over the N = C(degree + dim - 1,
 # dim - 1) monomials of the degree.  For diag(-1, 1, 1) at degree 40 in
 # dimension 3 (N = 861), `reynolds` in a fresh Python 3.11 process takes
-# about 0.25 s and peaks at 17.4 MB RSS on a 2-vCPU Xeon.  A dense
-# generator still fills its rows: a conjugated 3-cycle at degree 20 takes
-# about 15 s.  Raising the cap turns exit-2 refusals into answers.
+# about 0.11 s and peaks at 17.3 MB RSS on a 2-vCPU Xeon.  A dense
+# generator fills its rows, and the elimination then dominates: a
+# conjugated 3-cycle at degree 20 (N = 231) takes about 11 s.  So the cap
+# bounds the size of the answer, not the time.  Raising the cap turns
+# exit-2 refusals into answers.
 MAX_MONOMIALS = 1000
 
 

@@ -3,15 +3,16 @@
 The pipeline: close a generating set of matrices to the full group (as
 permutations of the orbit of the identity's rows, so the closure makes
 row products only, and past ``cap`` elements it raises), find the
-pseudoreflections (rank(A - I) = 1), take the normal subgroup
-they generate, and analyze the quotient: its commutator subgroup, the
-preimage of that commutator, and the abelian invariants of the final
-abelianization (via a Smith normal form of its Schreier relations).  The
-quotient space of the original linear action is toric exactly when the
-quotient group by the reflections is abelian.
+pseudoreflections (rank(A - I) = 1, screened by tr A - det A = n - 1),
+take the normal subgroup they generate, and analyze the quotient: its
+commutator subgroup, the preimage of that commutator, and the abelian
+invariants of the final abelianization (via a Smith normal form of its
+Schreier relations).  The quotient space of the original linear action
+is toric exactly when the quotient group by the reflections is abelian.
 
 Exact bases of invariant forms, degree by degree, are the generators'
-common fixed space (the image of the Reynolds operator).
+common fixed space (the image of the Reynolds operator).  ``_echelon``
+is the only elimination: of the generators, and of the invariant forms.
 """
 
 import math
@@ -78,16 +79,18 @@ class MatGroup:
     listing is deterministic.  The walk is kept as the right Cayley graph
     (``right[i][k]`` indexes ``elements[i] @ generators[k]``) with each
     element's breadth-first generator word, so products of elements are
-    integer walks (the regular representation).
+    integer walks (the regular representation).  ``gen_dets`` holds the
+    generators' determinants, as ``close_group`` finds them.
     """
 
-    def __init__(self, dim, conductor, generators, elements, right, words):
+    def __init__(self, dim, conductor, generators, elements, right, words, gen_dets=None):
         self.dim = dim
         self.conductor = conductor
         self.generators = generators
         self.elements = elements
         self.right = right
         self.words = words
+        self.gen_dets = gen_dets
         self._index = None
 
     @property
@@ -130,10 +133,12 @@ def close_group(generators, conductor=None, cap=DEFAULT_CAP):
                           if isinstance(x, CycloNum)), 1)
     gens = [cmat(conductor, g) for g in gens]
     dim = len(gens[0])
+    dets = []
     for g in gens:
         if len(g) != dim or any(len(row) != dim for row in g):
             raise ValueError("generators must be square of equal size")
-        if len(_echelon([{j: x for j, x in enumerate(row) if x} for row in g])) < dim:
+        dets.append(_det(conductor, g))
+        if not dets[-1]:
             raise NotInvertibleError("singular generator")
     if not dim:
         raise ValueError("generators must have at least one row")
@@ -145,7 +150,16 @@ def close_group(generators, conductor=None, cap=DEFAULT_CAP):
     perms = list(zip(*moves))
     indices, right, words = _closure((tuple(range(dim)),), perms, _permute, cap)
     elements = tuple([tuple([orbit[x] for x in a]) for a in indices])
-    return MatGroup(dim, conductor, tuple(gens), elements, tuple(right), tuple(words))
+    return MatGroup(dim, conductor, tuple(gens), elements, tuple(right), tuple(words), tuple(dets))
+
+
+def _det(conductor, a):
+    """det a from one ``_echelon`` pass, 0 when a is singular: the pivot
+    values before scaling, signed by the order of their columns."""
+    pivots = _echelon([{j: x for j, x in enumerate(row) if x} for row in a])[1]
+    swaps = sum(p > q for i, (p, _) in enumerate(pivots) for q, _ in pivots[i + 1:])
+    det = math.prod([x for _, x in pivots], start=CycloNum.rational(conductor, (-1) ** swaps))
+    return det if len(pivots) == len(a) else CycloNum(conductor)
 
 
 def _row_mul(v, g):
@@ -191,16 +205,30 @@ def _closure(seeds, gens, mul, cap=None, keep_words=True):
     return elements, right, words
 
 
+def _element_dets(group):
+    """det(a g_k) == det(a) det(g_k) on the Cayley edge first reaching a g_k."""
+    dets = [CycloNum.rational(group.conductor, 1)] + [None] * (group.order - 1)
+    for i, row in enumerate(group.right):
+        for j, d in zip(row, group.gen_dets):
+            if dets[j] is None:
+                dets[j] = dets[i] * d
+    return dets
+
+
 def pseudoreflections(group):
     """Elements fixing a hyperplane pointwise: rank(A - I) == 1, exactly.
 
-    With b = A - I and b[p][q] its first nonzero entry, the rank is 1
-    exactly when every 2x2 minor of b through (p, q) vanishes, i.e. every
-    row is a multiple of row p; no elimination is needed.
+    A = I + u v^T has det A = 1 + v.u = tr A - (n - 1).  Elements passing
+    that screen (in dimensions 2 and 3, only these and I) get the minor
+    test, with no elimination: for b = A - I with first nonzero entry
+    b[p][q], rank 1 means every 2x2 minor of b through (p, q) vanishes.
     """
     one = CycloNum.rational(group.conductor, 1)
+    shift = CycloNum.rational(group.conductor, 1 - group.dim)
     out = []
-    for a in group.elements:
+    for a, det in zip(group.elements, _element_dets(group)):
+        if sum([row[i] for i, row in enumerate(a)], shift) != det:
+            continue
         b = [[x - one if i == j else x for j, x in enumerate(row)] for i, row in enumerate(a)]
         p, q = next(((i, j) for i, row in enumerate(b) for j, x in enumerate(row) if x), (0, 0))
         if b[p][q] and all(x * b[p][q] == row[q] * b[p][j]
@@ -293,15 +321,23 @@ def _poly_mul(p, q):
     return {k: v for k, v in out.items() if v}
 
 
-def _apply_matrix_to_monomial(group, a, expo):
-    """Image of x^expo under x_j -> sum_i a[j][i] x_i, as an exponent dict."""
+def _monomial_images(group, a):
+    """x^expo -> its image under x_j -> sum_i a[j][i] x_i, an exponent dict
+    not to be changed: one product per variable, of powers of the variable
+    images tabled as they are first asked for."""
+    one = {(0,) * group.dim: CycloNum.rational(group.conductor, 1)}
     units = la.identity(group.dim)
-    acc = {(0,) * group.dim: CycloNum.rational(group.conductor, 1)}
-    for row, e in zip(a, expo):
-        form = {u: x for u, x in zip(units, row) if x}
-        for _ in range(e):
-            acc = _poly_mul(acc, form)
-    return acc
+    powers = [[one, {u: x for u, x in zip(units, row) if x}] for row in a]
+
+    def image(expo):
+        acc = one
+        for table, e in zip(powers, expo):
+            if e:
+                while len(table) <= e:
+                    table.append(_poly_mul(table[-1], table[1]))
+                acc = table[e] if acc is one else _poly_mul(acc, table[e])
+        return acc
+    return image
 
 
 def _echelon(rows):
@@ -311,12 +347,13 @@ def _echelon(rows):
     ``rows`` are dicts from column to nonzero ``CycloNum``, reduced in
     place.  Returns a dict from each pivot column p to its row scaled to 1
     at p, stored without p: its other entries sit at non-pivot columns
-    below p.  That form of a row space is unique, so the row order does
-    not matter.  A row is reduced by the pivot rows it meets, which adds
+    below p (that form of a row space is unique, so the row order does
+    not matter); and each pivot's column and value before scaling, in row
+    order.  A row is reduced by the pivot rows it meets, which adds
     entries at non-pivot columns only, pivots on its last column, and is
     subtracted from the pivot rows holding that column.
     """
-    solved = {}
+    solved, pivots = {}, []
     for row in rows:
         for c in [c for c in row if c in solved]:
             _subtract(row, row.pop(c), solved[c])
@@ -324,14 +361,15 @@ def _echelon(rows):
         if not row:
             continue
         p = max(row)
-        inv = row.pop(p).inverse()
+        pivots.append((p, row.pop(p)))
+        inv = pivots[-1][1].inverse()
         row = {j: x * inv for j, x in row.items()}
         for c, other in solved.items():
             if p in other:
                 _subtract(other, other.pop(p), row)
                 solved[c] = {j: x for j, x in other.items() if x}
         solved[p] = row
-    return solved
+    return solved, pivots
 
 
 def _subtract(row, f, other):
@@ -365,15 +403,16 @@ def reynolds_invariants(group, degree):
     # row t of generator g: sum_m c_m * ([x^t] g.x^m - [m == t]) == 0
     equations = []
     for g in group.generators:
+        image = _monomial_images(group, g)
         block = {}
         for col, m in enumerate(monos):
-            for t, x in _apply_matrix_to_monomial(group, g, m).items():
+            for t, x in image(m).items():
                 block.setdefault(index[t], {})[col] = x
             row = block.setdefault(col, {})
             row[col] = row[col] - one if col in row else -one
         equations += [{c: x for c, x in row.items() if x} for row in block.values()]
 
-    solved = _echelon(equations)
+    solved = _echelon(equations)[0]
     kernel = {f: {monos[f]: one} for f in range(len(monos)) if f not in solved}
     for p in sorted(solved):
         for f, x in solved[p].items():
@@ -385,15 +424,10 @@ def symmetric_power_trace_dimension(group, degree):
     """Independent invariant-dimension count: average of the traces of
     the symmetric-power action (exact, over the cyclotomic field)."""
     monos = tuple(la.compositions(degree, group.dim))
-    total = CycloNum(group.conductor)
+    zero = total = CycloNum(group.conductor)
     for a in group.elements:
-        tr = CycloNum(group.conductor)
-        for m in monos:
-            img = _apply_matrix_to_monomial(group, a, m)
-            coeff = img.get(m)
-            if coeff is not None:
-                tr = tr + coeff
-        total = total + tr
+        image = _monomial_images(group, a)
+        total = sum((image(m).get(m, zero) for m in monos), total)
     avg = total / CycloNum.rational(group.conductor, group.order)
     if not avg.is_rational():
         raise AssertionError("trace average must be rational")

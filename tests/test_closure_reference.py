@@ -1,8 +1,8 @@
 """The orbit closure of ``close_group`` against the matrix closure it replaced.
 
 ``_reference_close_group`` and ``_reference_closure`` are the earlier
-``close_group`` and ``_closure`` verbatim, with the earlier ``rref`` as
-``_rref``: every element is multiplied by every generator as a matrix,
+``close_group`` and ``_closure`` verbatim, with the earlier ``rref`` from
+``oracles``: every element is multiplied by every generator as a matrix,
 and the matrices themselves key the index.
 The orbit closure must list the same elements in the same order, with the
 same Cayley graph and words, and fail with the same errors.
@@ -20,6 +20,7 @@ from coxtools.cli import main
 from coxtools.cyclotomic import CycloNum
 from coxtools.quotients import (DEFAULT_CAP, ClosureCapExceededError, MatGroup,
                                 NotInvertibleError, c_identity, c_mul, close_group, cmat)
+from oracles import rref as _rref
 
 FIXTURE_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -40,30 +41,6 @@ def _reference_close_group(generators, conductor=None, cap=DEFAULT_CAP):
             raise NotInvertibleError("singular generator")
     elements, right, words = _reference_closure(c_identity(conductor, dim), gens, c_mul, cap)
     return MatGroup(dim, conductor, tuple(gens), tuple(elements), tuple(right), tuple(words))
-
-
-def _rref(rows, ncols=None):
-    """The earlier ``intlinalg.rref`` verbatim, for the singular test."""
-    if ncols is None:
-        ncols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == len(rows):
-            break
-        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv if x else x for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y if y else x for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return rows, pivots
 
 
 def _reference_closure(ident, gens, mul, cap=None):

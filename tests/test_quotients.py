@@ -15,9 +15,10 @@ from coxtools import intlinalg as la
 from coxtools import quotients
 from coxtools.cyclotomic import CycloNum, _reduce, cyclotomic_polynomial, euler_phi
 from coxtools.quotients import (ClosureCapExceededError, MatGroup, NotInvertibleError,
-                                QuotientReport, _apply_matrix_to_monomial, _echelon, c_mul,
+                                QuotientReport, _echelon, _monomial_images, c_mul,
                                 close_group, pseudoreflections, quotient_report,
                                 reynolds_invariants, symmetric_power_trace_dimension)
+from oracles import rref as _rref
 
 
 def _i():
@@ -27,31 +28,6 @@ def _i():
 def _q8():
     i = _i()
     return close_group([[[i, 0], [0, -i]], [[0, 1], [-1, 0]]], conductor=4)
-
-
-def _rref(rows, ncols=None):
-    """The earlier ``intlinalg.rref`` verbatim: dense Gauss-Jordan over an
-    exact field, kept as the oracle of the sparse elimination."""
-    if ncols is None:
-        ncols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == len(rows):
-            break
-        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv if x else x for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y if y else x for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return rows, pivots
 
 
 def _reference_inverse(self):
@@ -485,6 +461,113 @@ def test_pseudoreflections_match_elimination_reference(monkeypatch):
     monkeypatch.setattr(quotients, "_echelon", None)  # the minor test needs no elimination
     for g, want in zip(groups, expected):
         assert [g.index_of(a) for a in pseudoreflections(g)] == want
+
+
+def _monomial_matrix(n, perm, exps):
+    """Row r holds zeta_n^exps[r] at column perm[r]."""
+    z = CycloNum.zeta(n)
+    return [[_power(z, exps[r] % n) if c == perm[r] else CycloNum(n) for c in range(len(perm))]
+            for r in range(len(perm))]
+
+
+def _gmpn_generators(m, p, dim):
+    """G(m, p, dim): the adjacent transpositions, the first one twisted by
+    diag(z^-1, z), and diag(z^p, 1, ..., 1) when p < m."""
+    swaps = [[*range(i), i + 1, i, *range(i + 2, dim)] for i in range(dim - 1)]
+    gens = [_monomial_matrix(m, perm, [0] * dim) for perm in swaps]
+    gens.append(_monomial_matrix(m, swaps[0], [-1, 1] + [0] * (dim - 2)))
+    if p < m:
+        gens.append(_monomial_matrix(m, range(dim), [p] + [0] * (dim - 1)))
+    return gens
+
+
+def _padded(g, n, dim):
+    """g on the first coordinates and the identity on the rest."""
+    k = len(g)
+    return [[g[r][c] if r < k and c < k else CycloNum.rational(n, int(r == c))
+             for c in range(dim)] for r in range(dim)]
+
+
+def _unimodular(rng, dim):
+    """A unit lower times a unit upper triangular integer matrix."""
+    low = [[1 if i == j else rng.randint(-1, 1) if j < i else 0 for j in range(dim)]
+           for i in range(dim)]
+    up = [[1 if i == j else rng.randint(-1, 1) if j > i else 0 for j in range(dim)]
+          for i in range(dim)]
+    return la.mat_mul(low, up)
+
+
+def _conjugated_by(gens, n, p):
+    p, pinv = quotients.cmat(n, p), quotients.cmat(n, la.inverse_int(p))
+    return [c_mul(c_mul(p, quotients.cmat(n, g)), pinv) for g in gens]
+
+
+def _screen_groups():
+    """Groups in dimensions 2-4, each as given and conjugated by a seeded
+    unimodular integer matrix: G(m, p, dim), binary dihedral groups with
+    fixed coordinates added, and seeded monomial groups."""
+    rng = random.Random(29)
+    cases = [(_gmpn_generators(m, p, dim), m)
+             for m, p, dim in ((6, 2, 2), (3, 1, 3), (4, 2, 3), (3, 3, 3), (6, 6, 3), (2, 1, 4),
+                               (2, 2, 4), (3, 3, 4))]
+    for n, dim in ((5, 3), (6, 3), (8, 3), (4, 4), (6, 4)):
+        cases.append(([_padded(g, n, dim) for g in _binary_dihedral(n).generators], n))
+    for dim, conductors in ((2, (5, 12)), (3, (2, 3, 4, 6)), (4, (1, 2))):
+        cases += [(_seeded_generators(rng, dim, n)[0], n) for n in conductors]
+    for gens, n in cases:
+        yield close_group(gens, conductor=n)
+        yield close_group(_conjugated_by(gens, n, _unimodular(rng, len(gens[0]))), conductor=n)
+
+
+def test_screened_pseudoreflections_match_elimination_on_conjugated_groups():
+    """The screen tr A - det A == n - 1 holds for every pseudoreflection
+    and for I.  In dimensions 2 and 3 nothing else of finite order passes
+    it: with eigenvalues a, b, c, the sum a + b + c - abc - 1 - 1 of roots
+    of unity vanishes only when two of them are 1, as no minimal vanishing
+    sum of weight <= 6 holds -1 twice (Poonen and Rubinstein, 1998).  On
+    these groups the screen passes nothing else in dimension 4 either."""
+    for g in _screen_groups():
+        want = _reference_pseudoreflections(g)
+        assert [g.index_of(a) for a in pseudoreflections(g)] == want
+        zero = CycloNum(g.conductor)
+        passed = [k for k, (a, det) in enumerate(zip(g.elements, quotients._element_dets(g)))
+                  if sum([row[i] for i, row in enumerate(a)], zero) - det == g.dim - 1]
+        assert passed == sorted({0, *want})
+
+
+def _elimination_det(a):
+    """det a by dense Gaussian elimination with row swaps."""
+    rows = [list(row) for row in a]
+    det = CycloNum.rational(rows[0][0].conductor, 1)
+    for c in range(len(rows)):
+        piv = next((i for i in range(c, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            return det - det
+        if piv != c:
+            rows[c], rows[piv], det = rows[piv], rows[c], -det
+        det = det * rows[c][c]
+        for i in range(c + 1, len(rows)):
+            f = rows[i][c] / rows[c][c]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    return det
+
+
+def test_cayley_graph_determinants_match_elimination():
+    groups = _test_groups() + [_binary_dihedral(n) for n in range(3, 9)] + \
+        [_diagonal_3gen(), _q8_with_reflection(), _alternating_4()]
+    for g in groups:
+        want = [_elimination_det(a) for a in g.elements]
+        assert quotients._element_dets(g) == want
+        assert [quotients._det(g.conductor, a) for a in g.elements] == want
+        assert list(g.gen_dets) == [_elimination_det(a) for a in g.generators]
+
+
+def test_determinant_of_a_singular_or_permuted_matrix():
+    for rows, det in [([[1, 2], [2, 4]], 0), ([[0, 0], [0, 0]], 0), ([[0, 1], [1, 0]], -1),
+                      ([[0, 1, 0], [0, 0, 1], [1, 0, 0]], 1), ([[0, 0, 2], [0, 3, 0], [5, 0, 0]], -30),
+                      ([[2, 1, 1], [1, 3, 2], [1, 0, 0]], -1), ([[1, 2, 3], [4, 5, 6], [7, 8, 9]], 0)]:
+        a = quotients.cmat(3, rows)
+        assert quotients._det(3, a) == _elimination_det(a) == det
 
 
 def _diagonal_3gen():
@@ -933,10 +1016,25 @@ def test_monomial_images_match_the_reference():
     for dim, n in ((1, 5), (2, 4), (2, 12), (3, 3)):
         for g in _seeded_generators(rng, dim, n)[1]:
             group = MatGroup(dim, n, (g,), (), (), ())
+            image = _monomial_images(group, g)
             for d in range(6):
                 for m in la.compositions(d, dim):
-                    assert _apply_matrix_to_monomial(group, g, m) == \
-                        _reference_apply_matrix_to_monomial(group, g, m)
+                    assert image(m) == _reference_apply_matrix_to_monomial(group, g, m)
+
+
+def test_power_tables_match_the_dense_solve_at_high_degree():
+    """An involution whose second and third variables have dense images:
+    its power tables fill to degree 12, and are asked for out of order."""
+    g = close_group([[[1, 0, 0], [1, -1, 0], [2, 0, -1]]])
+    for d in range(9, 13):
+        got = reynolds_invariants(g, d)
+        want = _reference_reynolds_dense(g, d)
+        assert got == want
+        assert [list(f) for f in got] == [list(f) for f in want]
+    image = _monomial_images(g, g.generators[0])
+    for d in (12, 3, 9):
+        for m in la.compositions(d, 3):
+            assert image(m) == _reference_apply_matrix_to_monomial(g, g.generators[0], m)
 
 
 def test_reynolds_memory_follows_the_nonzeros():
@@ -991,7 +1089,7 @@ def test_echelon_matches_the_dense_reference_on_reversed_columns():
         up = [[one if i == j else (rand() * z if j > i else zero) for j in range(n)]
               for i in range(n)]
         a = mul(mul(low, b), mul(c, up)) if r else [[zero] * n for _ in range(n)]
-        solved = _echelon([{j: x for j, x in enumerate(row) if x} for row in a])
+        solved, _ = _echelon([{j: x for j, x in enumerate(row) if x} for row in a])
         rows, pivots = _rref([row[::-1] for row in a])
         assert len(solved) == len(pivots) == r
         assert solved == {n - 1 - p: {n - 1 - j: x for j, x in enumerate(row) if x and j != p}
