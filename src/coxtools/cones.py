@@ -19,7 +19,6 @@ sum.  A Cone is immutable and keeps its Hilbert basis once computed.
 """
 
 import bisect
-import functools
 import itertools
 import operator
 
@@ -234,9 +233,13 @@ def _parallelepiped_points(rows, det, adj):
 
 
 def _pulling_triangulation(rays, dual):
+    return list(_pulling_simplices(rays, dual))
+
+
+def _pulling_simplices(rays, dual):
     """Simplices of the pulling triangulation of a full-dimensional pointed
-    cone, as sorted tuples of indices into ``rays`` (its extreme rays; the
-    rows of ``dual`` are its facet normals).
+    cone, yielded one at a time as sorted tuples of indices into ``rays``
+    (its extreme rays; the rows of ``dual`` are its facet normals).
 
     A face F is triangulated by pulling its lowest-index ray v: v is coned
     over the simplices of every facet of F that misses v.  The facets of F
@@ -247,17 +250,26 @@ def _pulling_triangulation(rays, dual):
     (De Loera-Rambau-Santos, *Triangulations*, 2010, section 4.3).
     """
     tight = [frozenset(i for i, r in enumerate(rays) if la.dot(d, r) == 0) for d in dual]
+    return _pull(frozenset(range(len(rays))), len(rays[0]), tight, {})
 
-    @functools.cache
-    def pull(face, rank):
-        if len(face) == rank:
-            return [tuple(sorted(face))]
+
+def _pull(face, rank, tight, done):
+    """Yield the simplices of ``face``; ``done`` keeps those of each face
+    pulled to the end, for the faces shared by several facets."""
+    if len(face) == rank:
+        yield tuple(sorted(face))
+    elif face in done:
+        yield from done[face]
+    else:
         v = min(face)
         faces = {face & t for t in tight if not face <= t}
         facets = [g for g in faces if v not in g and not any(g < h for h in faces)]
-        return [(v, *s) for g in sorted(facets, key=sorted) for s in pull(g, rank - 1)]
-
-    return pull(frozenset(range(len(rays))), len(rays[0]))
+        out = []
+        for g in sorted(facets, key=sorted):
+            for s in _pull(g, rank - 1, tight, done):
+                out.append((v, *s))
+                yield out[-1]
+        done[face] = out
 
 
 def hilbert_basis(c):
@@ -270,8 +282,9 @@ def hilbert_basis(c):
     x - h lies in the cone exactly when v(x) >= v(h) componentwise, so the
     reduction to irreducible elements compares values only, each x with
     the basis elements of value sum at most half of x's.  The result is
-    kept on the cone.  Past ``_VOLUME_CAP`` summed simplex volumes it
-    raises ValueError before walking any box.
+    kept on the cone.  Simplices come in one at a time, and past
+    ``_VOLUME_CAP`` summed simplex volumes it raises ValueError before
+    building the next simplex or walking any box.
     """
     c._require_pointed()
     if c._hilbert is not None:
@@ -280,7 +293,7 @@ def hilbert_basis(c):
     if not coords:
         return ()
     boxes, volume = [], 0
-    for rows in ([coords[i] for i in s] for s in _pulling_triangulation(coords, dual)):
+    for rows in ([coords[i] for i in s] for s in _pulling_simplices(coords, dual)):
         boxes.append((rows, *la.adjugate(rows)))
         volume += abs(boxes[-1][1])
         if volume > _VOLUME_CAP:

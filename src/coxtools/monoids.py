@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import gcd, lcm
+from operator import mul
 
 from . import intlinalg as la
 from .cones import (Cone, NonPointedError, _dual_extreme_rays, _inside, _int_rank, cone_contains,
@@ -279,7 +280,9 @@ class MonoidHom:
 
     Entries may be rational: a monoid map defined on the monoid's group
     need not extend integrally to the ambient lattice.  Images of actual
-    group elements must come out integral; ``image`` enforces that.
+    group elements must come out integral; ``image`` enforces that.  The
+    map is kept as one integer matrix over the common denominator of
+    ``matrix``, so an image is integer dot products, each divided once.
     """
 
     def __init__(self, matrix):
@@ -289,6 +292,9 @@ class MonoidHom:
         if any(len(row) != len(self.matrix[0]) for row in self.matrix):
             raise ValueError("matrix rows must have equal length")
         self.target_rank = len(self.matrix)
+        self._den = lcm(*(x.denominator for row in self.matrix for x in row))
+        self._num = tuple(tuple([x.numerator * (self._den // x.denominator) for x in row])
+                          for row in self.matrix)
 
     @classmethod
     def from_generator_images(cls, monoid, images):
@@ -311,10 +317,10 @@ class MonoidHom:
     def image(self, v):
         if len(v) != len(self.matrix[0]):
             raise ValueError(f"vector of length {len(v)} for a map of width {len(self.matrix[0])}")
-        out = tuple(sum(row[i] * v[i] for i in range(len(v))) for row in self.matrix)
-        if any(x.denominator != 1 for x in out):
+        out = [divmod(sum(map(mul, row, v)), self._den) for row in self._num]
+        if any(r for _, r in out):
             raise ValueError(f"image of {tuple(v)} is not integral")
-        return tuple(int(x) for x in out)
+        return tuple(q for q, _ in out)
 
 
 @dataclass(frozen=True)
@@ -395,11 +401,12 @@ def extend_embedding(dt, alpha):
     """
     if len(alpha.matrix[0]) != dt.monoid.ambient_rank:
         raise ValueError("alpha's row length must match the monoid's ambient rank")
-    gens = dt.monoid.generators
+    gens, gen_images = dt.monoid.generators, []
     for g in gens:
-        if all(x == 0 for x in alpha.image(g)):
+        gen_images.append(alpha.image(g))
+        if not any(gen_images[-1]):
             return NotAnEmbedding(g, (0,) * dt.monoid.ambient_rank)
-        if any(x < 0 for x in alpha.image(g)):
+        if min(gen_images[-1]) < 0:
             raise ValueError("alpha must map generators into the free monoid")
 
     basis = dt.lattice_basis
@@ -419,8 +426,7 @@ def extend_embedding(dt, alpha):
             continue
         tau = la.primitive(row)
         if tau not in dt.functionals:
-            images = dt.generator_images()
             return ViolationStarStar(tuple(dict.fromkeys(
-                im for g, im in zip(gens, images) if alpha.image(g)[p] > 0)), p + 1)
+                im for a, im in zip(gen_images, dt.generator_images()) if a[p] > 0)), p + 1)
         beta[p][dt.functionals.index(tau)] = la.vec_gcd(row)
     return Beta(la.mat(beta))

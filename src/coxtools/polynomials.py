@@ -352,7 +352,9 @@ def poly_det(matrix):
         cache[key] = result
         return result
 
-    return minor(tuple(range(n)), (1 << n) - 1)
+    det = minor(tuple(range(n)), (1 << n) - 1)
+    del minor  # its closure refers to it: leave no cycle for the collector
+    return det
 
 
 def in_ideal_power(p, var_subset, k):

@@ -15,6 +15,7 @@ common fixed space (the image of the Reynolds operator).  ``_echelon``
 is the only elimination: of the generators, and of the invariant forms.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -54,18 +55,31 @@ def c_identity(conductor, n):
 
 
 def c_mul(a, b):
-    """The matrix product a @ b over a cyclotomic field.  Only nonzero
-    entry pairs are multiplied, and each entry's sum starts from its first
-    product, so a product of monomial matrices costs one multiplication
-    per row."""
+    """The matrix product a @ b over a cyclotomic field, one ``_row_times``
+    per row of a."""
     x = a[0][0]
-    zero = CycloNum._make(x.conductor, (0,) * len(x.num), 1)
-    cols = tuple(zip(*b))
-    out = []
-    for row in a:
-        terms = [(t, x) for t, x in enumerate(row) if x]
-        prods = ([x * col[t] for t, x in terms if col[t]] for col in cols)
-        out.append(tuple(sum(p[1:], p[0]) if p else zero for p in prods))
+    zeros = (CycloNum._make(x.conductor, (0,) * len(x.num), 1),) * len(b[0])
+    rows = _sparse_rows(b)
+    return tuple([_row_times(row, rows, zeros) for row in a])
+
+
+def _sparse_rows(b):
+    """Each row of b as the (column, entry) pairs of its nonzero entries."""
+    return tuple(tuple((j, y) for j, y in enumerate(row) if y) for row in b)
+
+
+def _row_times(v, rows, zeros):
+    """v @ b for b in ``_sparse_rows`` form, ``zeros`` one shared zero per
+    column of b: one product per nonzero pair (v[t], b[t][j]), each sum
+    started from its first product, so a monomial b costs one product per
+    nonzero entry of v."""
+    zero = zeros[0]
+    out = list(zeros)
+    for x, row in zip(v, rows):
+        if x:
+            for j, y in row:
+                s = out[j]
+                out[j] = x * y if s is zero else s + x * y
     return tuple(out)
 
 
@@ -116,10 +130,11 @@ def close_group(generators, conductor=None, cap=DEFAULT_CAP):
     entry of any generator, else the rationals (conductor 1).
 
     A matrix is fixed by its rows, so the group acts faithfully on the
-    orbit O of the identity's rows under v -> v @ g.  The closure lists O
-    first, with one row product per orbit vector and generator, then
-    closes the generators as permutations of O: each element is the tuple
-    of its rows' orbit indices, and its matrix is read off O.  Each row's
+    orbit O of the identity's rows under v -> v @ g.  The closure reads
+    each generator once into sparse rows and lists O first, with one
+    ``_row_times`` per orbit vector and generator, then closes the
+    generators as permutations of O: each element is the tuple of its
+    rows' orbit indices, and its matrix is read off O.  Each row's
     orbit has at most |G| vectors, so over ``cap`` vectors reached from
     one row already mean over ``cap`` elements; either closure past its
     bound raises ``closure exceeded cap {cap}``, and ``cap=None`` bounds
@@ -144,8 +159,9 @@ def close_group(generators, conductor=None, cap=DEFAULT_CAP):
         raise ValueError("generators must have at least one row")
     # no words for the orbit: along the chain of an infinite-order
     # generator they would grow quadratically up to the cap
-    orbit, moves, _ = _closure(c_identity(conductor, dim), gens, _row_mul, cap,
-                               keep_words=False)
+    row_times = functools.partial(_row_times, zeros=(CycloNum(conductor),) * dim)
+    orbit, moves, _ = _closure(c_identity(conductor, dim), [_sparse_rows(g) for g in gens],
+                               row_times, cap, keep_words=False)
     # perms[k][x] is the index of orbit[x] @ gens[k]
     perms = list(zip(*moves))
     indices, right, words = _closure((tuple(range(dim)),), perms, _permute, cap)
@@ -160,10 +176,6 @@ def _det(conductor, a):
     swaps = sum(p > q for i, (p, _) in enumerate(pivots) for q, _ in pivots[i + 1:])
     det = math.prod([x for _, x in pivots], start=CycloNum.rational(conductor, (-1) ** swaps))
     return det if len(pivots) == len(a) else CycloNum(conductor)
-
-
-def _row_mul(v, g):
-    return c_mul((v,), g)[0]
 
 
 def _permute(a, perm):
@@ -260,9 +272,14 @@ def quotient_report(group):
     right = group.right
     ngens = len(group.generators)
     # rank(xAx^-1 - I) == rank(A - I): the pseudoreflections are already
-    # closed under conjugation, so they generate a normal subgroup
-    refl = [group.index_of(a) for a in pseudoreflections(group)]
-    h_elements = _closure((0,), refl, group.mul, keep_words=False)[0]
+    # closed under conjugation, so they generate a normal subgroup, closed
+    # over each reflection that it lacks so far (each at least doubles it)
+    h_gens, h_elements, in_h = [], [0], {0}
+    for r in map(group.index_of, pseudoreflections(group)):
+        if r not in in_h:
+            h_gens.append(r)
+            h_elements = _closure((0,), h_gens, group.mul, keep_words=False)[0]
+            in_h = set(h_elements)
     for k in range(ngens):
         if {group.mul(right[0][k], h) for h in h_elements} != {right[h][k] for h in h_elements}:
             raise AssertionError("reflection subgroup failed normality")

@@ -1,4 +1,5 @@
 import functools
+import gc
 import itertools
 import math
 import operator
@@ -314,8 +315,8 @@ def test_hilbert_basis_is_kept_on_the_cone(monkeypatch):
     """The basis is computed once per Cone; an equal new Cone computes it
     again, so no cache outlives its cone."""
     calls = []
-    pull = cones_module._pulling_triangulation
-    monkeypatch.setattr(cones_module, "_pulling_triangulation",
+    pull = cones_module._pulling_simplices
+    monkeypatch.setattr(cones_module, "_pulling_simplices",
                         lambda *a: calls.append(1) or pull(*a))
     rays = [(1, a, a * a) for a in range(8)]
     c = Cone(3, rays)
@@ -349,6 +350,37 @@ def test_volume_cap_is_checked_per_simplex(monkeypatch):
     with pytest.raises(ValueError, match="candidate space too large"):
         hilbert_basis(c)
     assert len(calls) == 1
+
+
+def test_volume_cap_stops_the_triangulation(monkeypatch):
+    """The cox-data payload of 20 moment rays in rank 8 has a dual cone of
+    1120 rays and 68525 pulling simplices.  The first passes the volume
+    cap, so refusing it builds only that one."""
+    c = dual_cone(Cone(8, [[a ** k for k in range(8)] for a in range(20)]))
+    assert len(c._coords) == 1120
+    built = []
+    simplices = cones_module._pulling_simplices
+
+    def counted(*args):
+        for s in simplices(*args):
+            built.append(s)
+            yield s
+
+    monkeypatch.setattr(cones_module, "_pulling_simplices", counted)
+    with pytest.raises(ValueError, match="candidate space too large"):
+        hilbert_basis(c)
+    assert len(built) == 1
+
+
+def test_hilbert_basis_leaves_no_reference_cycle():
+    c = Cone(4, [(1, a, a * a, a ** 3) for a in range(7)])
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(hilbert_basis(c)) > len(c.rays)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_cone_hash_agrees_with_equality():

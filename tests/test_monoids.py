@@ -43,8 +43,8 @@ def test_divisor_theory_and_its_axioms_triangulate_once(monkeypatch):
     the basis that divisor_theory computed to prove saturation."""
     gens = hilbert_basis(Cone(3, [(1, a, a * a) for a in range(8)]))
     calls = []
-    pull = cones._pulling_triangulation
-    monkeypatch.setattr(cones, "_pulling_triangulation", lambda *a: calls.append(1) or pull(*a))
+    pull = cones._pulling_simplices
+    monkeypatch.setattr(cones, "_pulling_simplices", lambda *a: calls.append(1) or pull(*a))
     dt = divisor_theory(AffineMonoid(3, gens))
     assert verify_divisor_axioms(dt, 6).ok
     assert len(calls) == 1
@@ -754,6 +754,32 @@ def test_monoid_hom_image_refuses_a_vector_of_the_wrong_length(v):
     ended in an IndexError."""
     with pytest.raises(ValueError, match="width"):
         MonoidHom([[1, 2], [3, 4]]).image(v)
+
+
+def test_monoid_hom_image_matches_the_fraction_sum():
+    """On seeded rational matrices, integral and not, ``image`` is the
+    Fraction dot product of each row with v when every entry of that is
+    integral, and otherwise refuses v."""
+    rng = random.Random(5)
+    outcomes = set()
+    for _ in range(400):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 5)
+        den = rng.choice([1, 1, 2, 3, 6, 12])
+        matrix = [[Fraction(rng.randint(-9, 9), rng.choice([1, den])) for _ in range(cols)]
+                  for _ in range(rows)]
+        hom = MonoidHom(matrix)
+        assert hom.matrix == tuple(tuple(row) for row in matrix)
+        v = tuple(rng.randint(-5, 5) * rng.choice([1, den]) for _ in range(cols))
+        want = [sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in matrix]
+        if all(x.denominator == 1 for x in want):
+            got = hom.image(v)
+            assert got == tuple(want) and all(type(x) is int for x in got)
+            outcomes.add("integral")
+        else:
+            with pytest.raises(ValueError, match="not integral"):
+                hom.image(v)
+            outcomes.add("refused")
+    assert outcomes == {"integral", "refused"}
 
 
 def test_generator_images_must_be_consistent_and_of_equal_lengths(monoid_469):

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import pathlib
@@ -360,6 +361,22 @@ def test_coefficients_are_never_float_or_bool(made):
     assert verify_inverse(linear, elementary_inverse(linear))
     kinds = {type(c) for p in made for c in p.terms.values()}
     assert kinds == {int, Fraction}
+
+
+def test_poly_det_leaves_no_reference_cycle():
+    """The memoized cofactor expansion leaves nothing for the cycle
+    collector, on the Jacobian of a six-shear chain."""
+    rng = random.Random(7)
+    chain = compose_chain([_random_shear(rng, quadric_grading()).map for _ in range(6)])
+    j = jacobian(chain)
+    assert sum(len(p.terms) for row in j for p in row) > 80
+    gc.collect()
+    gc.disable()
+    try:
+        assert poly_det(j) == Poly.constant(4, 1)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("bad", [0.1, 1.0, 0.0, "1/2", None, 1j],

@@ -354,32 +354,38 @@ def test_c_mul_matches_the_dense_product():
 def test_closure_multiplies_only_orbit_rows(monkeypatch):
     """G(4,1,2) is monomial: the orbit of the identity's rows is the 8
     vectors zeta^k e_i, the rows of the 32 elements.  The closure makes one
-    1-row product per orbit vector and generator (24), each a single entry
-    multiplication, and no 2x2 matrix product."""
+    row product per orbit vector and generator (24), each a single entry
+    multiplication, and no matrix product."""
     z = CycloNum.zeta(4)
     zero, one = CycloNum(4), CycloNum.rational(4, 1)
     gens = [[[zero, one], [one, zero]], [[zero, z.inverse()], [z, zero]], [[z, zero], [zero, one]]]
-    rows, counts = [], {"mul": 0}
+    products, counts = [], {"mul": 0, "c_mul": 0}
     inside = [False]
-    mul, matmul = CycloNum.__mul__, quotients.c_mul
+    mul, row_times = CycloNum.__mul__, quotients._row_times
 
     def counting_mul(self, other):
         counts["mul"] += inside[0]
         return mul(self, other)
 
-    def counting_c_mul(a, b):
-        rows.append(len(a))
+    def counting_row_times(v, rows, zeros):
+        before = counts["mul"]
         inside[0] = True
-        out = matmul(a, b)
+        out = row_times(v, rows, zeros)
         inside[0] = False
+        products.append(counts["mul"] - before)
         return out
 
+    def counting_c_mul(a, b):
+        counts["c_mul"] += 1
+        return c_mul(a, b)
+
     monkeypatch.setattr(CycloNum, "__mul__", counting_mul)
+    monkeypatch.setattr(quotients, "_row_times", counting_row_times)
     monkeypatch.setattr(quotients, "c_mul", counting_c_mul)
     group = close_group(gens, conductor=4)
     orbit = {row for e in group.elements for row in e}
     assert group.order == 32 and len(orbit) == 8
-    assert rows == [1] * 24 and counts["mul"] == 24
+    assert products == [1] * 24 and counts["mul"] == 24 and counts["c_mul"] == 0
 
 
 def test_conductor_inferred_from_any_cyclotomic_entry():
@@ -691,6 +697,35 @@ def test_quotient_report_repr_and_value_semantics():
     assert rep != QuotientReport(16, 1, 4, False, 2, (2, 2), False)
     with pytest.raises(AttributeError):
         rep.order_g = 8
+
+
+@pytest.mark.parametrize("m,p", [(m, p) for m in range(2, 9) for p in range(1, m + 1)
+                                 if m % p == 0])
+def test_reflection_subgroup_closes_over_the_reflections_it_lacks(monkeypatch, m, p):
+    """G(m,p,2) is generated by its pseudoreflections, and none of them
+    alone generates it.  The report closes H once per reflection that the
+    subgroup built so far lacks, each closure at least doubling it, and
+    agrees with the matrix reference."""
+    g = _gmp(m, p)
+    table = [[g.index_of(c_mul(a, b)) for b in g.elements] for a in g.elements]
+    refl = [g.index_of(a) for a in pseudoreflections(g)]
+    closures = []
+    closure = quotients._closure
+
+    def recorded(seeds, gens, *args, **kwargs):
+        out = closure(seeds, gens, *args, **kwargs)
+        closures.append((list(gens), len(out[0])))
+        return out
+
+    monkeypatch.setattr(quotients, "_closure", recorded)
+    rep = quotient_report(g)
+    assert rep == _reference_report(g, table)
+    used = closures[-1][0]
+    assert rep.order_h == g.order and len(used) >= 2
+    assert used == [r for r in refl if r in used]
+    assert [gens for gens, _ in closures] == [used[:k] for k in range(1, len(used) + 1)]
+    orders = [1] + [order for _, order in closures]
+    assert all(2 * a <= b for a, b in zip(orders, orders[1:]))
 
 
 def test_quotient_report_makes_no_matrix_products(monkeypatch):
