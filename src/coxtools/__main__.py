@@ -1,0 +1,7 @@
+"""``python -m coxtools <command> <input>`` runs the command line."""
+import sys
+
+from . import cli
+
+if __name__ == "__main__":
+    sys.exit(cli.main())

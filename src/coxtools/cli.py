@@ -366,12 +366,16 @@ def cmd_verify_lift(doc, args):
 def cmd_compose(doc, args):
     from .polynomials import PolyMap, compose_chain
     n = _at_least(_as_int(_require(doc, "num_vars")), 1, "num_vars")
-    names = _var_names(doc, n)
-    maps = [_polys(images, names) for images in _list(_require(doc, "maps"), "a list of maps")]
+    maps = [_list(m, "a list of polynomials")
+            for m in _list(_require(doc, "maps"), "a list of maps")]
     if not maps:
         raise InputError("compose needs at least one map")
+    # the shape check comes before _var_names, which builds one default
+    # name per variable: a short payload may claim 10^8 of them
     if any(len(m) != n for m in maps):
         raise InputError("each map needs one image per variable")
+    names = _var_names(doc, n)
+    maps = [_polys(images, names) for images in maps]
     result = compose_chain([PolyMap(tuple(m)) for m in maps])
     return {"images": [p.render(names) for p in result.images]}
 

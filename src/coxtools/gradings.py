@@ -552,18 +552,25 @@ def shear_family(ring, index, f, h, k):
 
 
 def search_tame_decomposition(target, ring=None, max_len=3, max_h_degree=1):
-    """Bounded breadth-first search for an elementary grading-preserving
-    decomposition of ``target`` over the quadric ring.
+    """Bounded search for an elementary grading-preserving decomposition
+    of ``target`` over the quadric ring.
 
     The catalog holds the four shear shapes with monomial coefficients
-    +/-1 up to the given degree in the two degree-zero products.  Returns
-    the sequence of shears, or None when the caps are exhausted.  This is
-    a desk-scale search, not a decision procedure.
+    +/-1 up to the given degree in the two degree-zero products.  Each
+    state s carries its residual target o s^-1, and s reaches the target
+    in one more step exactly when that residual is a catalog map: each
+    level is one dict lookup per state, and a residual of the next level
+    is one composition with an inverse shear.  Returns the breadth-first
+    answer (the first hit in state, then catalog, order; never for the
+    identity), or None when the caps are exhausted.  This is a
+    desk-scale search, not a decision procedure.
     """
     ring = ring or quadric_grading()
     n = ring.num_vars
     if n != 4:
         raise ValueError("search is implemented for the four-variable quadric ring")
+    if target.source_vars != 4 or target.target_vars != 4 or target.is_identity():
+        return None
     y = [Poly.variable(4, i) for i in range(4)]
     shapes = {
         0: (y[1], (y[1] * y[2], y[1] * y[3])),
@@ -578,19 +585,22 @@ def search_tame_decomposition(target, ring=None, max_len=3, max_h_degree=1):
                 for sign in (1, -1):
                     f = sign * front * u ** l * v ** r
                     catalog.append(elementary_shear(ring, index, f))
-    frontier = [(PolyMap.identity(4), ())]
-    seen = {frontier[0][0].images}
-    for _ in range(max_len):
-        next_frontier = []
-        for state, seq in frontier:
-            for e in catalog:
-                new = compose(e.map, state)
-                if new.images in seen:
-                    continue
-                seen.add(new.images)
-                new_seq = seq + (e,)
-                if new == target:
-                    return list(new_seq)
-                next_frontier.append((new, new_seq))
-        frontier = next_frontier
+    first = {e.map.images: i for i, e in enumerate(catalog)}
+    frontier = [(target, ())]
+    seen = {target.images}
+    for depth in range(max_len):
+        if depth:
+            next_frontier = []
+            for residual, seq in frontier:
+                for i, e in enumerate(catalog):
+                    # the shears come in sign pairs: catalog[i ^ 1] inverts e
+                    new = compose(residual, catalog[i ^ 1].map)
+                    if new.images not in seen:
+                        seen.add(new.images)
+                        next_frontier.append((new, seq + (e,)))
+            frontier = next_frontier
+        for residual, seq in frontier:
+            hit = first.get(residual.images)
+            if hit is not None:
+                return [*seq, catalog[hit]]
     return None

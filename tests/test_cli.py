@@ -168,6 +168,31 @@ def test_long_integer_string_is_a_bad_integer(tmp_path):
     assert json.loads(out)["detail"].startswith("bad integer")
 
 
+@pytest.mark.parametrize("maps,detail", [
+    ('[["y1"]]', "each map needs one image per variable"),
+    ('["y1"]', "expected a list of polynomials (JSON array)"),
+])
+def test_compose_refuses_a_huge_num_vars_before_naming_variables(tmp_path, maps, detail):
+    """A 43-byte payload claiming 10^8 variables: the maps' shapes refuse it
+    before a default name is built for each variable.  Building them takes
+    seconds and gigabytes, so the process runs under a 1 GB address-space
+    limit: a regression fails here and leaves the machine alone."""
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    p = tmp_path / "huge.json"
+    p.write_text('{"num_vars": 100000000, "maps": %s}' % maps)
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "coxtools.cli", "compose", str(p)],
+                          capture_output=True, text=True, preexec_fn=limit,
+                          env=dict(os.environ, PYTHONPATH=SRC_DIR), timeout=60)
+    assert time.perf_counter() - start < 0.5
+    assert proc.returncode == 2 and proc.stdout.count("\n") == 1, proc.stderr
+    assert json.loads(proc.stdout) == {"error": "malformed_input", "detail": detail}
+
+
 
 def _nested(depth):
     return "(" * depth + "y1" + ")" * depth

@@ -64,6 +64,15 @@ def test_cold_processes_replay_every_fixture():
             (path.stem, proc.stderr)
 
 
+def test_module_entry_runs_the_command_line():
+    path = ROOT / "fixtures" / "parse-poly-quartic-entry.json"
+    doc = json.loads(path.read_text())
+    proc = _python("-m", "coxtools", doc["command"], str(path))
+    assert (proc.returncode, proc.stdout) == \
+        (0, json.dumps(doc["expected"], sort_keys=True, separators=(",", ":")) + "\n"), \
+        proc.stderr
+
+
 def test_package_import_loads_no_submodule():
     proc = _python("-c", "import sys, coxtools; "
                          "print(sorted(m for m in sys.modules if m.startswith('coxtools')))")

@@ -20,8 +20,8 @@ from coxtools.gradings import (AbGroup, DependsOnTargetError, GradedEndo, Graded
                                search_tame_decomposition, shear_family, shear_map,
                                transpose_map, verify_inverse, wildness_certificate,
                                wildness_machinery, NotZeta)
-from coxtools.polynomials import (Poly, PolyMap, compose, parse_map, parse_poly,
-                                  substitute)
+from coxtools.polynomials import (Poly, PolyMap, compose, compose_chain, parse_map,
+                                  parse_poly, substitute)
 
 from conftest import YS
 
@@ -286,6 +286,80 @@ def test_search_finds_a_single_shear():
 def test_search_does_not_find_zeta():
     assert search_tame_decomposition(anick_automorphism().map,
                                      max_len=2, max_h_degree=1) is None
+
+
+def _reference_search(target, ring=None, max_len=3, max_h_degree=1):
+    """The plain breadth-first search: every frontier state composed with
+    every catalog shear, the identity seeding the seen set."""
+    ring = ring or quadric_grading()
+    y = [Poly.variable(4, i) for i in range(4)]
+    shapes = {
+        0: (y[1], (y[1] * y[2], y[1] * y[3])),
+        1: (y[0], (y[0] * y[2], y[0] * y[3])),
+        2: (y[3], (y[0] * y[3], y[1] * y[3])),
+        3: (y[2], (y[0] * y[2], y[1] * y[2])),
+    }
+    catalog = []
+    for index, (front, (u, v)) in shapes.items():
+        for l in range(max_h_degree + 1):
+            for r in range(max_h_degree + 1 - l):
+                for sign in (1, -1):
+                    f = sign * front * u ** l * v ** r
+                    catalog.append(elementary_shear(ring, index, f))
+    frontier = [(PolyMap.identity(4), ())]
+    seen = {frontier[0][0].images}
+    for _ in range(max_len):
+        next_frontier = []
+        for state, seq in frontier:
+            for e in catalog:
+                new = compose(e.map, state)
+                if new.images in seen:
+                    continue
+                seen.add(new.images)
+                new_seq = seq + (e,)
+                if new == target:
+                    return list(new_seq)
+                next_frontier.append((new, new_seq))
+        frontier = next_frontier
+    return None
+
+
+def _search_targets():
+    """Seeded catalog words of length 0-3 (some composing to the identity)
+    and four maps no word composes to, each with its word length (None
+    for those four)."""
+    rng = random.Random(3101)
+    catalog = [elementary_shear(RING, index, f) for index, f in _search_catalog(RING)]
+    words = [[], *([e, elementary_inverse(e)] for e in rng.sample(catalog, 2)),
+             [catalog[5], catalog[4], catalog[9]]]
+    words += [rng.sample(catalog, k) for k in (1, 1, 2, 2, 2, 3, 3)]
+    # three of the eight max_h_degree=0 shears, on distinct variables
+    linear = [e for e in catalog if e.elementary[2].total_degree() == 1]
+    words += [[linear[2 * i + rng.randrange(2)] for i in rng.sample(range(4), 3)]
+              for _ in range(3)]
+    targets = [(compose_chain([e.map for e in w]) if w else PolyMap.identity(4), len(w))
+               for w in words]
+    perturbed = elementary_shear(RING, 0, parse_poly("1/2*y2*(y2*y3)", YS)).map
+    singular = parse_map(["y1", "y2", "y3", "y1*y4"], YS)
+    return targets + [(anick_automorphism().map, None), (perturbed, None),
+                      (singular, None), (nagata_polymap(), None)]
+
+
+def test_search_matches_the_breadth_first_reference():
+    found = Counter()
+    for target, length in _search_targets():
+        for max_h_degree in (0, 1):
+            for max_len in range(4):
+                # the reference takes ~0.6 s to exhaust three levels of 24 shears
+                if max_len == 3 and max_h_degree == 1 \
+                        and (length not in (1, 2) or target.is_identity()):
+                    continue
+                args = (target, RING, max_len, max_h_degree)
+                got, want = search_tame_decomposition(*args), _reference_search(*args)
+                assert (got and [e.map.images for e in got]) == \
+                    (want and [e.map.images for e in want]), (target, max_len, max_h_degree)
+                found[len(got or ())] += 1
+    assert sorted(found) == [0, 1, 2, 3] and found[3] >= 3, found
 
 
 # -- Nagata homogeneity scan ---------------------------------------------------------
