@@ -33,6 +33,11 @@ MAX_CONDUCTOR = 1000
 # bounds the size of the answer, not the time.  Raising the cap turns
 # exit-2 refusals into answers.
 MAX_MONOMIALS = 1000
+# the interpreter's default int_max_str_digits, owned here so that an integer
+# is refused alike whatever PYTHONINTMAXSTRDIGITS says; an int is measured by
+# bit_length against the bits of 10^MAX_INT_DIGITS
+MAX_INT_DIGITS = 4300
+_MAX_INT_BITS = (10 ** MAX_INT_DIGITS).bit_length()
 
 
 class InputError(Exception):
@@ -69,8 +74,12 @@ def _as_int(x):
     if isinstance(x, bool):
         raise InputError("expected an integer")
     if isinstance(x, int):
+        if x.bit_length() > _MAX_INT_BITS:
+            raise InputError(f"bad integer: more than {MAX_INT_DIGITS} digits")
         return x
     if isinstance(x, str):
+        if len(x) > MAX_INT_DIGITS:
+            raise InputError(f"bad integer: more than {MAX_INT_DIGITS} digits")
         try:
             return int(x)
         except ValueError as exc:

@@ -16,7 +16,10 @@ for such an operand, so it raises ``TypeError``.  The ring operations,
 the parser build their results with ``Poly._trusted``, which takes a
 dict that is already clean (every coefficient a nonzero ``int`` or
 ``Fraction``, every key a tuple of ``num_vars`` non-negative ints) and
-keeps it as is, without a copy or a check.
+keeps it as is, without a copy or a check.  Every product of two
+polynomials runs one loop, ``_mul_into``, which adds each term product
+straight into one dict: ``Poly.__mul__`` fills an empty one, and
+``poly_det`` sums each cofactor expansion in its minor's dict.
 
 Canonical printing and equality use graded lexicographic term order
 (total degree first, then exponents, descending).  Polynomials are
@@ -26,6 +29,7 @@ construction.
 
 import re
 from fractions import Fraction
+from operator import add
 
 
 class PolyParseError(ValueError):
@@ -130,15 +134,8 @@ class Poly:
             return NotImplemented
         self._check(other)
         terms = {}
-        get = terms.get
-        right = other.terms.items()
-        for e1, c1 in self.terms.items():
-            for e2, c2 in right:
-                e = tuple([a + b for a, b in zip(e1, e2)])
-                terms[e] = get(e, 0) + c1 * c2
-        for e in [e for e, c in terms.items() if not c]:
-            del terms[e]
-        return Poly._trusted(self.num_vars, terms)
+        _mul_into(terms, self.terms, other.terms, 1)
+        return Poly._trusted(self.num_vars, _drop_zeros(terms))
 
     __rmul__ = __mul__
     __radd__ = __add__
@@ -173,12 +170,6 @@ class Poly:
     def total_degree(self):
         """Largest term degree; -1 for the zero polynomial."""
         return max((sum(e) for e in self.terms), default=-1)
-
-    def degree_in(self, var_subset):
-        """Smallest total degree of any term in the selected variables."""
-        if not self.terms:
-            return None
-        return min(sum(e[i] for i in var_subset) for e in self.terms)
 
     def involves(self, index):
         return any(e[index] for e in self.terms)
@@ -296,6 +287,25 @@ def _fold(terms, p, c):
             del terms[e]
 
 
+def _mul_into(terms, left, right, scale):
+    """terms += scale * left * right on term dicts, in place: each product
+    goes straight into ``terms``.  Zeros stay there for the caller to drop."""
+    get = terms.get
+    right = right.items()
+    for e1, c1 in left.items():
+        c1 *= scale
+        for e2, c2 in right:
+            e = tuple(map(add, e1, e2))
+            terms[e] = get(e, 0) + c1 * c2
+
+
+def _drop_zeros(terms):
+    """Delete the zero coefficients ``_mul_into`` left; return ``terms``."""
+    for e in [e for e, c in terms.items() if not c]:
+        del terms[e]
+    return terms
+
+
 def compose(f, g):
     """The map v -> f(g(v)): g's images substituted into f's."""
     if f.target_vars != g.source_vars:
@@ -324,37 +334,37 @@ class NonSquareError(ValueError):
 
 
 def poly_det(matrix):
-    """Determinant by cofactor expansion with minor memoization."""
+    """Cofactor expansion along the rows as given.  The minor on rows
+    ``row..n-1`` and the columns in ``colmask`` is a term dict memoized by
+    ``colmask``; ``_mul_into`` sums its cofactor products in place."""
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise NonSquareError("determinant of a non-square matrix")
     if n == 0:
         raise NonSquareError("empty matrix")
-    num_vars = matrix[0][0].num_vars
     cache = {}
 
-    def minor(rows, colmask):
-        key = (rows, colmask)
-        if key in cache:
-            return cache[key]
+    def minor(row, colmask):
+        if colmask in cache:
+            return cache[colmask]
         cols = [j for j in range(n) if colmask >> j & 1]
-        if len(rows) == 1:
-            result = matrix[rows[0]][cols[0]]
+        if row == n - 1:
+            terms = matrix[row][cols[0]].terms
         else:
             terms = {}
             sign = 1
             for j in cols:
-                entry = matrix[rows[0]][j]
-                if entry.terms:
-                    _fold(terms, entry * minor(rows[1:], colmask & ~(1 << j)), sign)
+                entry = matrix[row][j].terms
+                if entry:
+                    _mul_into(terms, entry, minor(row + 1, colmask & ~(1 << j)), sign)
                 sign = -sign
-            result = Poly._trusted(num_vars, terms)
-        cache[key] = result
-        return result
+            _drop_zeros(terms)
+        cache[colmask] = terms
+        return terms
 
-    det = minor(tuple(range(n)), (1 << n) - 1)
+    det = minor(0, (1 << n) - 1)
     del minor  # its closure refers to it: leave no cycle for the collector
-    return det
+    return Poly._trusted(matrix[0][0].num_vars, dict(det) if n == 1 else det)
 
 
 def in_ideal_power(p, var_subset, k):

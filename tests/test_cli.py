@@ -168,6 +168,21 @@ def test_long_integer_string_is_a_bad_integer(tmp_path):
     assert json.loads(out)["detail"].startswith("bad integer")
 
 
+def test_long_integers_are_refused_without_the_interpreter_digit_limit(tmp_path):
+    """The 5000 digits, as a JSON number and as a string, are malformed
+    input also when the interpreter converts integers of any length."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int digit limit to lift")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        for command in sorted(COMMANDS):
+            test_unreadable_input_file_exit_2(tmp_path, "number-5000-digits", command)
+        test_long_integer_string_is_a_bad_integer(tmp_path)
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 @pytest.mark.parametrize("maps,detail", [
     ('[["y1"]]', "each map needs one image per variable"),
     ('["y1"]', "expected a list of polynomials (JSON array)"),

@@ -20,6 +20,8 @@ from coxtools.cli import main
 from coxtools.cyclotomic import CycloNum
 from coxtools.quotients import (DEFAULT_CAP, ClosureCapExceededError, MatGroup,
                                 NotInvertibleError, c_identity, c_mul, close_group, cmat)
+from oracles import binary_dihedral as _binary_dihedral
+from oracles import gmp as _gmp
 from oracles import rref as _rref
 
 FIXTURE_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -63,29 +65,6 @@ def _reference_closure(ident, gens, mul, cap=None):
 
 
 # -- generating sets, as (generators, conductor) --------------------------------
-
-def _power(z, k):
-    acc = CycloNum.rational(z.conductor, 1)
-    for _ in range(k):
-        acc = acc * z
-    return acc
-
-
-def _gmp(m, p):
-    """The imprimitive reflection group G(m, p, 2)."""
-    z = CycloNum.zeta(m)
-    zero, one = CycloNum(m), CycloNum.rational(m, 1)
-    gens = [[[zero, one], [one, zero]], [[zero, z.inverse()], [z, zero]]]
-    if p < m:
-        gens.append([[_power(z, p), zero], [zero, one]])
-    return gens, m
-
-
-def _binary_dihedral(n):
-    z = CycloNum.zeta(n)
-    zero, one = CycloNum(n), CycloNum.rational(n, 1)
-    return [[[z, zero], [zero, z.inverse()]], [[zero, one], [-one, zero]]], n
-
 
 def _conjugated(case, p):
     """p g p^-1 for each generator g and a unimodular p: dense entries."""

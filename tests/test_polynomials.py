@@ -15,9 +15,10 @@ from coxtools.gradings import (elementary_inverse, elementary_linear, elementary
 from coxtools.polynomials import (NonSquareError, Poly, PolyMap, PolyParseError,
                                   UnknownVariableError, compose, compose_chain,
                                   in_ideal_power, jacobian, parse_map, parse_poly,
-                                  poly_det, substitute)
+                                  poly_det, substitute, _drop_zeros, _mul_into)
 
 from conftest import XS, YS, TAU_STRS
+from oracles import degree_in, reference_det
 
 FIXTURE_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -206,8 +207,8 @@ def test_ideal_power_multiplicativity():
         p = _random_poly(rng, 3)
         q = _random_poly(rng, 3)
         subset = (0, 1)
-        kp = p.degree_in(subset)
-        kq = q.degree_in(subset)
+        kp = degree_in(p, subset)
+        kq = degree_in(q, subset)
         if kp is None or kq is None:
             continue
         assert in_ideal_power(p * q, subset, kp + kq)
@@ -402,3 +403,108 @@ def test_bool_stays_an_int_coefficient():
     p = Poly.variable(2, 0)
     assert p * True == p and p + False == p and p ** True == p
     assert Poly(2, {(1, 0): True}) == p and type(Poly(2, {(1, 0): True}).terms[(1, 0)]) is int
+
+
+def _reference_mul(p, q):
+    """The product as a plain loop over exponent tuples."""
+    terms = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            terms[e] = terms.get(e, 0) + c1 * c2
+    return {e: c for e, c in terms.items() if c}
+
+
+def _snapshot(polys):
+    return [(p.terms, dict(p.terms)) for p in polys]
+
+
+def _assert_untouched(snapshot, result):
+    for terms, copy in snapshot:
+        assert terms == copy
+        assert result.terms is not terms
+
+
+def _seeded_matrices(rng):
+    """Square matrices of size 1-5 over 1-3 variables: random Fraction and
+    int entries, zero rows and columns, repeated and summed rows, constant
+    entries, entries that cancel to 0 and rows that cancel in the expansion."""
+    cases = []
+    for k in range(200):
+        n = 1 + k % 5
+        nv = rng.randint(1, 3)
+        kind = k // 5 % 8
+
+        def entry():
+            if kind == 3:
+                return Poly.constant(nv, Fraction(rng.randint(-3, 3), rng.choice((1, 2))))
+            if kind == 4:  # int coefficients only
+                return Poly(nv, {tuple(rng.randint(0, 2) for _ in range(nv)): rng.randint(-3, 3)
+                                 for _ in range(rng.randint(1, 3))})
+            return _random_poly(rng, nv, max_terms=3, max_deg=2)
+
+        rows = [[entry() for _ in range(n)] for _ in range(n)]
+        i, j = rng.randrange(n), rng.randrange(n)
+        if kind == 0:
+            rows[i] = [Poly.zero(nv)] * n
+        elif kind == 1:
+            for row in rows:
+                row[j] = Poly.zero(nv)
+        elif kind == 2 and n > 1:
+            rows[(i + 1) % n] = list(rows[i])
+        elif kind == 5 and n > 2:  # a row that is the sum of two others
+            rows[2] = [a + b for a, b in zip(rows[0], rows[1])]
+        elif kind == 6:  # an entry p - p, and a row that is minus the one before it
+            rows[i][j] = rows[i][j] - rows[i][j]
+            if n > 1:
+                rows[(i + 1) % n] = [-p for p in rows[i]]
+        cases.append(tuple(tuple(row) for row in rows))
+    return cases
+
+
+def test_poly_det_matches_the_reference_expansion():
+    """The in-place expansion against the one that built a Poly per
+    cofactor product, on 200 seeded matrices and the Jacobians of seeded
+    shear chains.  No input changes and no result shares an input's dict."""
+    rng = random.Random(32)
+    cases = _seeded_matrices(rng)
+    ring = quadric_grading()
+    for k in range(24):
+        chain = compose_chain([_random_shear(rng, ring).map for _ in range(1 + k % 4)])
+        cases.append(jacobian(chain))
+    seen = {"zero": 0, "fraction": 0}
+    for matrix in cases:
+        snapshot = _snapshot([p for row in matrix for p in row])
+        want = reference_det(matrix)
+        got = poly_det(matrix)
+        assert got == want and got.num_vars == want.num_vars
+        assert all(c for c in got.terms.values())
+        _assert_untouched(snapshot, got)
+        seen["zero"] += got.is_zero()
+        seen["fraction"] += any(c.denominator != 1 for c in got.terms.values())
+    assert len(cases) == 224 and seen["zero"] >= 30 and seen["fraction"] >= 30
+    assert all(poly_det(j) == Poly.constant(4, 1) for j in cases[200:])
+
+
+def test_one_by_one_determinant_is_a_copy():
+    p = parse_poly("y1 - 1/2*y2", YS)
+    det = poly_det(((p,),))
+    assert det == p and det.terms is not p.terms
+
+
+def test_product_matches_the_tuple_loop_reference():
+    rng = random.Random(33)
+    zero = Poly.zero(3)
+    for _ in range(150):
+        p = _random_poly(rng, 3, max_terms=5)
+        q = _random_poly(rng, 3, max_terms=5)
+        for a, b in ((p, q), (q, p), (p, p), (p, zero), (zero, q), (p, -p)):
+            snapshot = _snapshot((a, b))
+            product = a * b
+            assert product.terms == _reference_mul(a, b)
+            _assert_untouched(snapshot, product)
+        # the kernel adds into what the dict holds: -1 * p * q cancels p * q
+        terms = dict((p * q).terms)
+        _mul_into(terms, p.terms, q.terms, -1)
+        assert _drop_zeros(terms) == {}
+    assert (Poly.variable(3, 0) * zero).terms == {}

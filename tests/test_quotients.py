@@ -18,6 +18,8 @@ from coxtools.quotients import (ClosureCapExceededError, MatGroup, NotInvertible
                                 QuotientReport, _echelon, _monomial_images, c_mul,
                                 close_group, pseudoreflections, quotient_report,
                                 reynolds_invariants, symmetric_power_trace_dimension)
+import oracles
+from oracles import power as _power
 from oracles import rref as _rref
 
 
@@ -246,21 +248,9 @@ def test_cyclonum_refuses_coefficients_that_are_not_int_or_fraction(coeff):
         CycloNum.rational(3, coeff)
 
 
-def _power(z, k):
-    acc = CycloNum.rational(z.conductor, 1)
-    for _ in range(k):
-        acc = acc * z
-    return acc
-
-
 def _gmp(m, p):
-    """The imprimitive reflection group G(m, p, 2)."""
-    z = CycloNum.zeta(m)
-    zero, one = CycloNum(m), CycloNum.rational(m, 1)
-    gens = [[[zero, one], [one, zero]], [[zero, z.inverse()], [z, zero]]]
-    if p < m:
-        gens.append([[_power(z, p), zero], [zero, one]])
-    return close_group(gens, conductor=m)
+    """The imprimitive reflection group G(m, p, 2), closed."""
+    return close_group(*oracles.gmp(m, p))
 
 
 # (m, p) -> (|G|, |H|, |H~|, F abelian, |[F, F]|, N invariants, toric,
@@ -447,10 +437,7 @@ def test_pseudoreflections_are_closed_under_conjugation():
 
 
 def _binary_dihedral(n):
-    z = CycloNum.zeta(n)
-    zero, one = CycloNum(n), CycloNum.rational(n, 1)
-    return close_group([[[z, zero], [zero, z.inverse()]], [[zero, one], [-one, zero]]],
-                       conductor=n)
+    return close_group(*oracles.binary_dihedral(n))
 
 
 def _reference_pseudoreflections(group):
