@@ -33,9 +33,9 @@ MAX_CONDUCTOR = 1000
 # bounds the size of the answer, not the time.  Raising the cap turns
 # exit-2 refusals into answers.
 MAX_MONOMIALS = 1000
-# the interpreter's default int_max_str_digits, owned here so that an integer
-# is refused alike whatever PYTHONINTMAXSTRDIGITS says; an int is measured by
-# bit_length against the bits of 10^MAX_INT_DIGITS
+# the interpreter's default int_max_str_digits, owned here so that an integer,
+# read or written, is refused alike whatever PYTHONINTMAXSTRDIGITS says; an
+# int is measured by bit_length against the bits of 10^MAX_INT_DIGITS
 MAX_INT_DIGITS = 4300
 _MAX_INT_BITS = (10 ** MAX_INT_DIGITS).bit_length()
 
@@ -50,6 +50,8 @@ def encode(value):
     if isinstance(value, bool):
         return value
     if isinstance(value, (int, Fraction)):
+        if max(value.numerator.bit_length(), value.denominator.bit_length()) > _MAX_INT_BITS:
+            raise ValueError(f"result integer has more than {MAX_INT_DIGITS} digits")
         return str(value)
     if isinstance(value, (list, tuple)):
         return [encode(v) for v in value]
@@ -259,15 +261,10 @@ def _decode_group(doc):
 
 
 def _render_invariant(form, names):
+    from .polynomials import _render_monomial
     parts = []
     for expo in sorted(form, key=lambda e: (sum(e), e), reverse=True):
-        factors = []
-        for i, k in enumerate(expo):
-            if k == 1:
-                factors.append(names[i])
-            elif k > 1:
-                factors.append(f"{names[i]}^{k}")
-        mono = "*".join(factors) if factors else "1"
+        mono = _render_monomial(expo, names) or "1"
         coeff = form[expo]
         if coeff.is_one():
             parts.append(mono)
@@ -498,7 +495,8 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         pretty = args.pretty
-        result = COMMANDS[args.command](_load(args.input), args)
+        # the whole document is encoded before anything is written
+        emit(COMMANDS[args.command](_load(args.input), args), pretty)
     except InputError as exc:
         emit({"error": "malformed_input", "detail": str(exc)}, pretty)
         return 2
@@ -509,7 +507,6 @@ def main(argv=None):
     except DOMAIN_ERRORS as exc:
         emit({"error": type(exc).__name__, "detail": str(exc)}, pretty)
         return 1
-    emit(result, pretty)
     return 0
 
 

@@ -16,10 +16,13 @@ for such an operand, so it raises ``TypeError``.  The ring operations,
 the parser build their results with ``Poly._trusted``, which takes a
 dict that is already clean (every coefficient a nonzero ``int`` or
 ``Fraction``, every key a tuple of ``num_vars`` non-negative ints) and
-keeps it as is, without a copy or a check.  Every product of two
-polynomials runs one loop, ``_mul_into``, which adds each term product
-straight into one dict: ``Poly.__mul__`` fills an empty one, and
-``poly_det`` sums each cofactor expansion in its minor's dict.
+keeps it as is, without a copy or a check.  Term dicts with ``CycloNum``
+coefficients (``quotients``, the CLI) share the helpers below.  Every
+product of two term dicts runs one loop, ``_mul_into``, which adds each
+term product straight into one dict: ``_product`` fills an empty one,
+and ``poly_det`` sums each cofactor expansion in its minor's dict.
+``_power_products`` tables powers for ``substitute`` and the monomial
+images of a matrix; ``_render_monomial`` prints a monomial.
 
 Canonical printing and equality use graded lexicographic term order
 (total degree first, then exponents, descending).  Polynomials are
@@ -98,30 +101,25 @@ class Poly:
         if self.num_vars != other.num_vars:
             raise ValueError("mixed variable counts")
 
-    def __add__(self, other):
+    def _plus(self, other, sign):
+        """self + sign * other, added into a copy of self's terms."""
         if isinstance(other, (int, Fraction)):
             other = Poly.constant(self.num_vars, other)
         elif not isinstance(other, Poly):
             return NotImplemented
         self._check(other)
         terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e, 0) + c
-            if s:
-                terms[e] = s
-            else:
-                del terms[e]
+        _fold(terms, other.terms, sign)
         return Poly._trusted(self.num_vars, terms)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     def __neg__(self):
         return Poly._trusted(self.num_vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly.constant(self.num_vars, other)
-        elif not isinstance(other, Poly):
-            return NotImplemented
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -133,9 +131,7 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._check(other)
-        terms = {}
-        _mul_into(terms, self.terms, other.terms, 1)
-        return Poly._trusted(self.num_vars, _drop_zeros(terms))
+        return Poly._trusted(self.num_vars, _product(self.terms, other.terms))
 
     __rmul__ = __mul__
     __radd__ = __add__
@@ -198,19 +194,14 @@ class Poly:
         names = var_names or [f"y{i + 1}" for i in range(self.num_vars)]
         parts = []
         for e, c in self.sorted_terms():
-            factors = []
-            for i, k in enumerate(e):
-                if k == 1:
-                    factors.append(names[i])
-                elif k > 1:
-                    factors.append(f"{names[i]}^{k}")
+            mono = _render_monomial(e, names)
             mag = abs(c)
-            if not factors:
+            if not mono:
                 body = str(mag)
             elif mag == 1:
-                body = "*".join(factors)
+                body = mono
             else:
-                body = "*".join([str(mag)] + factors)
+                body = str(mag) + "*" + mono
             if not parts:
                 parts.append(body if c > 0 else f"-{body}")
             else:
@@ -219,6 +210,11 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self.render()})"
+
+
+def _render_monomial(expo, names):
+    """x^expo as ``y1^2*y3`` over ``names``; the empty string for 1."""
+    return "*".join([names[i] if k == 1 else f"{names[i]}^{k}" for i, k in enumerate(expo) if k])
 
 
 class PolyMap:
@@ -262,24 +258,33 @@ def substitute(p, m):
     """Exact simultaneous substitution of m's images into p."""
     if p.num_vars != m.source_vars:
         raise ValueError("polynomial/map variable mismatch")
-    one = Poly._trusted(m.target_vars, {(0,) * m.target_vars: 1})
-    powers = [[one] for _ in range(m.source_vars)]  # powers[i][k] is images[i]^k
+    image = _power_products([q.terms for q in m.images], {(0,) * m.target_vars: 1})
     terms = {}
     for e, c in p.terms.items():
-        term = None
-        for i, k in enumerate(e):
-            if k:
-                known = powers[i]
-                while len(known) <= k:
-                    known.append(known[-1] * m.images[i])
-                term = known[k] if term is None else term * known[k]
-        _fold(terms, one if term is None else term, c)
+        _fold(terms, image(e), c)
     return Poly._trusted(m.target_vars, terms)
 
 
-def _fold(terms, p, c):
-    """terms += c * p.terms in place, dropping the zeros that appear."""
-    for e, x in p.terms.items():
+def _power_products(images, one):
+    """expo -> prod_i images[i]^expo[i], a term dict the caller must not
+    change (``one`` the unit): one ``_product`` per variable past the first,
+    of powers tabled as they are first asked for."""
+    powers = [[one, q] for q in images]
+
+    def image(expo):
+        acc = one
+        for table, k in zip(powers, expo):
+            if k:
+                while len(table) <= k:
+                    table.append(_product(table[-1], table[1]))
+                acc = table[k] if acc is one else _product(acc, table[k])
+        return acc
+    return image
+
+
+def _fold(terms, other, c):
+    """terms += c * other on term dicts, in place, dropping new zeros."""
+    for e, x in other.items():
         s = terms.get(e, 0) + c * x
         if s:
             terms[e] = s
@@ -289,14 +294,25 @@ def _fold(terms, p, c):
 
 def _mul_into(terms, left, right, scale):
     """terms += scale * left * right on term dicts, in place: each product
-    goes straight into ``terms``.  Zeros stay there for the caller to drop."""
+    goes straight into ``terms``, a new key starting from its first product,
+    so ``CycloNum`` coefficients work too.  A ``scale`` of 1 is skipped.
+    Zeros stay in ``terms`` for the caller to drop."""
     get = terms.get
     right = right.items()
     for e1, c1 in left.items():
-        c1 *= scale
+        if scale != 1:
+            c1 *= scale
         for e2, c2 in right:
             e = tuple(map(add, e1, e2))
-            terms[e] = get(e, 0) + c1 * c2
+            s = get(e)
+            terms[e] = c1 * c2 if s is None else s + c1 * c2
+
+
+def _product(left, right):
+    """left * right as a new term dict without zeros."""
+    terms = {}
+    _mul_into(terms, left, right, 1)
+    return _drop_zeros(terms)
 
 
 def _drop_zeros(terms):
@@ -499,7 +515,7 @@ class _Parser:
         p = Poly._trusted(self.num_vars, {tuple(expo): coeff})
         for q in polys:
             p = p * q
-        _fold(terms, p, 1)
+        _fold(terms, p.terms, 1)
 
     def power(self):
         """The exponent after a base: the nat of a following '^', else 1."""

@@ -13,6 +13,8 @@ is toric exactly when the quotient group by the reflections is abelian.
 Exact bases of invariant forms, degree by degree, are the generators'
 common fixed space (the image of the Reynolds operator).  ``_echelon``
 is the only elimination: of the generators, and of the invariant forms.
+Monomial images come from ``polynomials._power_products``, imported when
+first asked for, so ``quotient_report`` alone does not load it.
 """
 
 import functools
@@ -327,34 +329,13 @@ def quotient_report(group):
 
 # -- invariant forms --------------------------------------------------------
 
-def _poly_mul(p, q):
-    """Product of polynomials held as dicts from exponent tuples."""
-    out = {}
-    for a, x in p.items():
-        for b, y in q.items():
-            key = tuple([s + t for s, t in zip(a, b)])
-            z = out.get(key)
-            out[key] = x * y if z is None else z + x * y
-    return {k: v for k, v in out.items() if v}
-
-
 def _monomial_images(group, a):
-    """x^expo -> its image under x_j -> sum_i a[j][i] x_i, an exponent dict
-    not to be changed: one product per variable, of powers of the variable
-    images tabled as they are first asked for."""
+    """x^expo -> its image under x_j -> sum_i a[j][i] x_i, a term dict not
+    to be changed: ``polynomials._power_products`` of the variable images."""
+    from .polynomials import _power_products
     one = {(0,) * group.dim: CycloNum.rational(group.conductor, 1)}
     units = la.identity(group.dim)
-    powers = [[one, {u: x for u, x in zip(units, row) if x}] for row in a]
-
-    def image(expo):
-        acc = one
-        for table, e in zip(powers, expo):
-            if e:
-                while len(table) <= e:
-                    table.append(_poly_mul(table[-1], table[1]))
-                acc = table[e] if acc is one else _poly_mul(acc, table[e])
-        return acc
-    return image
+    return _power_products([{u: x for u, x in zip(units, row) if x} for row in a], one)
 
 
 def _echelon(rows):
@@ -397,6 +378,14 @@ def _subtract(row, f, other):
         row[j] = f * y if x is None else x + f * y
 
 
+def _check_degree(degree, least):
+    if isinstance(degree, bool) or not isinstance(degree, int):
+        raise ValueError(f"degree must be an int, got {degree!r}")
+    if degree < least:
+        raise ValueError(f"degree must be at least {least}")
+    return degree
+
+
 def reynolds_invariants(group, degree):
     """Exact basis of the degree-d invariant forms of the linear action.
 
@@ -409,11 +398,7 @@ def reynolds_invariants(group, degree):
     row echelon basis (leading coefficient 1), each form a dict from
     exponent tuples to CycloNum coefficients.
     """
-    if isinstance(degree, bool) or not isinstance(degree, int):
-        raise ValueError(f"degree must be an int, got {degree!r}")
-    if degree < 1:
-        raise ValueError("degree must be at least 1")
-    monos = tuple(la.compositions(degree, group.dim))
+    monos = tuple(la.compositions(_check_degree(degree, 1), group.dim))
     index = {m: i for i, m in enumerate(monos)}
     one = CycloNum.rational(group.conductor, 1)
 
@@ -440,7 +425,7 @@ def reynolds_invariants(group, degree):
 def symmetric_power_trace_dimension(group, degree):
     """Independent invariant-dimension count: average of the traces of
     the symmetric-power action (exact, over the cyclotomic field)."""
-    monos = tuple(la.compositions(degree, group.dim))
+    monos = tuple(la.compositions(_check_degree(degree, 0), group.dim))
     zero = total = CycloNum(group.conductor)
     for a in group.elements:
         image = _monomial_images(group, a)

@@ -665,3 +665,26 @@ def test_output_stable_across_hash_seeds():
         assert proc.returncode == 0
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
+
+
+def test_a_result_past_the_digit_bound_is_one_error_document(tmp_path):
+    """extend on 6 KB: Beta's 6001-digit entry is refused by coxtools' own
+    bound while the document is encoded, inside main's error handling, so
+    the process prints one JSON line, writes nothing to stderr, and gives
+    the same bytes whatever the interpreter's digit limit."""
+    big = str(10 ** 3000)
+    p = tmp_path / "input.json"
+    p.write_text(json.dumps({"monoid": {"ambient_rank": 2, "generators": [[big, "0"], ["0", "1"]]},
+                             "alpha": {"matrix": [[big, "0"], ["0", "1"]]}}))
+    runs = []
+    for limit in (None, "0"):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
+        env.update({"PYTHONPATH": SRC_DIR}, **({"PYTHONINTMAXSTRDIGITS": limit} if limit else {}))
+        proc = subprocess.run([sys.executable, "-m", "coxtools.cli", "extend", str(p)],
+                              capture_output=True, text=True, env=env, timeout=60)
+        runs.append((proc.returncode, proc.stdout, proc.stderr))
+    assert runs[0] == runs[1]
+    code, out, err = runs[0]
+    assert (code, err, out.count("\n")) == (1, "", 1)
+    assert json.loads(out) == {"error": "ValueError",
+                               "detail": "result integer has more than 4300 digits"}

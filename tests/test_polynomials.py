@@ -18,6 +18,7 @@ from coxtools.polynomials import (NonSquareError, Poly, PolyMap, PolyParseError,
                                   poly_det, substitute, _drop_zeros, _mul_into)
 
 from conftest import XS, YS, TAU_STRS
+import oracles
 from oracles import degree_in, reference_det
 
 FIXTURE_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -508,3 +509,44 @@ def test_product_matches_the_tuple_loop_reference():
         _mul_into(terms, p.terms, q.terms, -1)
         assert _drop_zeros(terms) == {}
     assert (Poly.variable(3, 0) * zero).terms == {}
+
+
+def test_substitute_matches_the_poly_product_reference():
+    """The shared power table against the earlier ``substitute``, which
+    multiplied ``Poly`` objects: on 300 seeded maps with zero images,
+    constant images, ``Fraction`` coefficients and polynomials whose images
+    cancel.  The terms match key for key, in order, and no input changes."""
+    rng = random.Random(34)
+    seen = {"zero": 0, "fraction": 0}
+    for k in range(300):
+        nv, nt = 1 + k % 3, rng.randint(1, 3)
+        images = [_random_poly(rng, nt, max_terms=3, max_deg=2) for _ in range(nv)]
+        kind = k % 5
+        if kind == 1:
+            images[rng.randrange(nv)] = Poly.zero(nt)
+        elif kind == 2:
+            images[rng.randrange(nv)] = Poly.constant(nt, Fraction(rng.randint(-3, 3), 2))
+        elif kind == 3 and nv > 1:  # equal images: p minus its mirror cancels
+            images[1] = images[0]
+        m = PolyMap(tuple(images))
+        p = _random_poly(rng, nv, max_terms=5)
+        if kind == 3 and nv > 1:
+            p = p - Poly(nv, {(e[1], e[0], *e[2:]): c for e, c in p.terms.items()})
+        snapshot = _snapshot([p, *images])
+        want = oracles.substitute(p, m)
+        got = substitute(p, m)
+        assert list(got.terms.items()) == list(want.terms.items())
+        assert got.num_vars == want.num_vars == nt
+        _assert_untouched(snapshot, got)
+        seen["zero"] += got.is_zero()
+        seen["fraction"] += any(c.denominator != 1 for c in got.terms.values())
+    assert seen["zero"] >= 30 and seen["fraction"] >= 100
+
+
+def test_subtraction_builds_no_negated_copy(monkeypatch):
+    rng = random.Random(35)
+    pairs = [(_random_poly(rng, 3), _random_poly(rng, 3)) for _ in range(40)]
+    want = [(p + (-q), p + (-p), p + Fraction(-1, 2)) for p, q in pairs]
+    monkeypatch.setattr(Poly, "__neg__", None)
+    assert [(p - q, p - p, p - Fraction(1, 2)) for p, q in pairs] == want
+    assert all(not (p - p).terms for p, _ in pairs)

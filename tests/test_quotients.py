@@ -13,7 +13,11 @@ import sympy
 
 from coxtools import intlinalg as la
 from coxtools import quotients
+from coxtools.cli import _render_invariant
+from coxtools.cones import Cone, hilbert_basis
 from coxtools.cyclotomic import CycloNum, _reduce, cyclotomic_polynomial, euler_phi
+from coxtools.monoids import AffineMonoid, divisor_theory
+from coxtools.polynomials import _drop_zeros, _mul_into, _product
 from coxtools.quotients import (ClosureCapExceededError, MatGroup, NotInvertibleError,
                                 QuotientReport, _echelon, _monomial_images, c_mul,
                                 close_group, pseudoreflections, quotient_report,
@@ -946,11 +950,16 @@ def test_reynolds_trivial_group():
     assert len(basis) == 4  # all cubic monomials in two variables
 
 
-@pytest.mark.parametrize("degree", [2.5, 2.0, Fraction(5, 2), "2", True, False])
+@pytest.mark.parametrize("degree", [2.5, 2.0, Fraction(5, 2), "2", True, False, -1])
 def test_reynolds_refuses_a_degree_that_is_not_an_int(degree):
+    """And so does the trace formula, which takes degree 0 (answer 1)."""
     triv = close_group([[[1, 0], [0, 1]]], conductor=1)
     with pytest.raises(ValueError):
         reynolds_invariants(triv, degree)
+    for group in (triv, close_group([[[-1]]], conductor=1)):
+        with pytest.raises(ValueError, match="degree"):
+            symmetric_power_trace_dimension(group, degree)
+        assert symmetric_power_trace_dimension(group, 0) == 1
 
 
 def test_reynolds_cube_root_weights():
@@ -1116,3 +1125,137 @@ def test_echelon_matches_the_dense_reference_on_reversed_columns():
         assert len(solved) == len(pivots) == r
         assert solved == {n - 1 - p: {n - 1 - j: x for j, x in enumerate(row) if x and j != p}
                           for row, p in zip(rows, pivots)}
+
+
+# -- the term-dict helpers that quotients shares with polynomials -------------
+
+def _random_form(rng, n, dim, max_terms=4, max_deg=3):
+    """A term dict over QQ(zeta_n) with nonzero coefficients."""
+    form = {}
+    for _ in range(rng.randint(1, max_terms)):
+        c = CycloNum(n, [Fraction(rng.randint(-2, 2), rng.choice((1, 1, 2))) for _ in range(4)])
+        if c:
+            form[tuple(rng.randint(0, max_deg) for _ in range(dim))] = c
+    return form
+
+
+def test_cyclotomic_products_match_the_earlier_product():
+    """``polynomials._product`` on ``CycloNum`` term dicts against the
+    earlier ``quotients._poly_mul``, key for key and in order, at
+    conductors 1, 3, 4, 5 and 12: zero factors, p(x) * p(-x) (whose odd
+    terms cancel), and ``_mul_into`` sums that cancel to {}.  No input
+    changes and no result is an input."""
+    rng = random.Random(36)
+    cancelled = 0
+    for n in (1, 3, 4, 5, 12):
+        minus_one = CycloNum.rational(n, -1)
+        for k in range(40):
+            dim = 1 + k % 3
+            p, q = _random_form(rng, n, dim), _random_form(rng, n, dim)
+            mirror = {e: -c if sum(e) % 2 else c for e, c in p.items()}
+            for a, b in ((p, q), (q, p), (p, p), (p, {}), ({}, q), (p, mirror)):
+                copies = (dict(a), dict(b))
+                got = _product(a, b)
+                want = oracles.poly_mul(a, b)
+                assert list(got.items()) == list(want.items())
+                assert (a, b) == copies and got is not a and got is not b
+                cancelled += len(got) < len(a) * len(b) and bool(a) and bool(b)
+            terms = _product(p, q)
+            _mul_into(terms, p, q, minus_one)
+            assert _drop_zeros(terms) == {}
+            terms = dict(_product(p, q))
+            _mul_into(terms, q, p, -1)
+            assert _drop_zeros(terms) == {}
+    assert cancelled >= 100
+
+
+def test_monomial_images_match_the_earlier_tables():
+    """The shared power table against the earlier ``_monomial_images``,
+    key for key and in order, asked for out of order; an answer stays as it
+    was while later ones fill the tables."""
+    rng = random.Random(37)
+    cases = [(g, a) for g in _test_groups() for a in g.generators]
+    for dim, n in ((1, 5), (2, 4), (2, 12), (3, 3), (3, 12)):
+        for g in _seeded_generators(rng, dim, n)[1]:
+            cases.append((MatGroup(dim, n, (g,), (), (), ()), g))
+    for group, a in cases:
+        image, want = _monomial_images(group, a), oracles.monomial_images(group, a)
+        monos = [m for d in (3, 0, 6, 1, 4) for m in la.compositions(d, group.dim)]
+        answers = [(image(m), dict(image(m))) for m in monos]
+        for m, (got, copy) in zip(monos, answers):
+            assert list(got.items()) == list(want(m).items())
+            assert got == copy
+
+
+def test_rendered_reynolds_bases_match_the_earlier_printer():
+    """On ``_test_groups()`` and binary dihedral groups, and on each of
+    those of conductor n >= 3 conjugated by a shear by zeta_n, whose
+    invariant forms have coefficients outside QQ."""
+    groups = _test_groups() + [_binary_dihedral(n) for n in (3, 5, 8)]
+    for g in [g for g in groups if g.conductor >= 3]:
+        n, z = g.conductor, CycloNum.zeta(g.conductor)
+        shear, inverse = (quotients.cmat(n, [[1 if i == j else c if (i, j) == (0, 1) else 0
+                                              for j in range(g.dim)] for i in range(g.dim)])
+                          for c in (z, -z))
+        groups.append(close_group([c_mul(c_mul(shear, a), inverse) for a in g.generators]))
+    irrational = 0
+    for group in groups:
+        names = [f"x{i + 1}" for i in range(group.dim)]
+        for d in range(1, 5):
+            for form in reynolds_invariants(group, d):
+                copy = dict(form)
+                assert _render_invariant(form, names) == oracles.render_invariant(form, names)
+                assert form == copy
+                irrational += not all(c.is_rational() for c in form.values())
+    assert irrational >= 10
+
+
+# -- the class-group theorem as a cross-layer oracle ---------------------------
+
+def _diagonal_groups(rng, count):
+    """(dim, conductor, weights): diag(zeta^a_1, ..., zeta^a_dim) for each
+    weight vector a, in dimension 2-3, conductor 2-12, one or two of them."""
+    for k in range(count):
+        dim, m = 2 + k % 2, rng.randint(2, 12)
+        yield dim, m, [tuple(rng.randrange(m) for _ in range(dim)) for _ in range(1 + k // 2 % 2)]
+
+
+def _invariant_lattice(dim, m, weights):
+    """A basis of {e : sum_i e_i a_i == 0 mod m for each weight vector a}:
+    the first dim coordinates of the integer kernel of [A | -m I]."""
+    b = [[*a, *(-m if t == j else 0 for t in range(len(weights)))] for j, a in enumerate(weights)]
+    h, u = la.hnf(la.transpose(b))
+    return [row[:dim] for row, hrow in zip(u, h) if not any(hrow)]
+
+
+def test_class_group_theorem_on_diagonal_groups():
+    """Cl(C^n/G) is the character group of G/H, H the reflection subgroup
+    (Benson, Polynomial Invariants of Finite Groups, 1993).  For a diagonal
+    G the quotient is the toric variety of the invariant monomials, so the
+    quotient report's abelian invariants (closure, pseudoreflections,
+    Schreier relations) must be the class group of the monoid of lattice
+    points of the orthant (Hilbert basis, divisor theory), with free rank
+    0.  And the degree-d invariant forms are exactly the invariant
+    monomials, each with coefficient 1."""
+    rng = random.Random(13)
+    nontrivial_h = nontrivial_cl = 0
+    for dim, m, weights in _diagonal_groups(rng, 48):
+        z, zero = CycloNum.zeta(m), CycloNum(m)
+        gens = [[[_power(z, a[i]) if i == j else zero for j in range(dim)] for i in range(dim)]
+                for a in weights]
+        group = close_group(gens, conductor=m)
+        rep = quotient_report(group)
+        lattice = _invariant_lattice(dim, m, weights)
+        cone = Cone(dim, [[m if i == j else 0 for j in range(dim)] for i in range(dim)],
+                    lattice=lattice)
+        monoid = AffineMonoid(dim, hilbert_basis(cone))
+        assert divisor_theory(monoid).class_group() == (0, rep.n_invariants), (dim, m, weights)
+        nontrivial_h += rep.order_h > 1
+        nontrivial_cl += bool(rep.n_invariants)
+
+        one = CycloNum.rational(m, 1)
+        for d in range(1, 5):
+            invariant = [e for e in la.compositions(d, dim)
+                         if all(la.dot(e, a) % m == 0 for a in weights)]
+            assert reynolds_invariants(group, d) == [{e: one} for e in invariant]
+    assert nontrivial_h >= 10 and nontrivial_cl >= 10
